@@ -256,7 +256,7 @@ AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
   for (const PressureConstraint &K : P.Constraints)
     if (K.Members.size() > K.Budget) {
       BindingConstraint B;
-      B.Members = K.Members;
+      B.Members.assign(K.Members.begin(), K.Members.end());
       B.Budget = K.Budget;
       std::sort(B.Members.begin(), B.Members.end());
       Binding.push_back(std::move(B));

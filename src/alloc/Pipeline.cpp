@@ -51,6 +51,12 @@ PipelineResult layra::runAllocationPipeline(
     Capture->AllocatorName = Options.AllocatorName;
   }
   bool ExactRound0 = false;
+  // Live intervals cost a pass per build; only interval allocators read
+  // them.
+  const bool WithIntervals = Alloc->requiresIntervals();
+  auto build = [&](const Function &Fn, ProblemBuildArtifacts *Artifacts) {
+    return buildSsaProblem(Fn, Target, Budgets, WS, Artifacts, WithIntervals);
+  };
 
   PipelineResult Out;
   Out.Rewritten = F;
@@ -71,19 +77,20 @@ PipelineResult layra::runAllocationPipeline(
   auto buildRound0 = [&]() -> AllocationProblem {
     if (Base) {
       AllocationProblem P;
-      if (buildDeltaProblem(*Base, F, Target, Budgets, P, ExactRound0)) {
+      if (buildDeltaProblem(*Base, F, Target, Budgets, P, ExactRound0,
+                            WithIntervals)) {
         Delta->UsedDelta = true;
         return P;
       }
     }
     if (Capture) {
       ProblemBuildArtifacts Artifacts;
-      AllocationProblem P = buildSsaProblem(F, Target, Budgets, WS, &Artifacts);
+      AllocationProblem P = build(F, &Artifacts);
       Capture->Live = std::move(Artifacts.Live);
       Capture->Costs = std::move(Artifacts.Costs);
       return P;
     }
-    return buildSsaProblem(F, Target, Budgets, WS);
+    return build(F, nullptr);
   };
 
   // Allocates \p P, warm-starting from the base when the round-0 problem
@@ -120,7 +127,7 @@ PipelineResult layra::runAllocationPipeline(
     obs::addSpillRound();
     Current.emplace(Round == 0
                         ? buildRound0()
-                        : buildSsaProblem(Out.Rewritten, Target, Budgets, WS));
+                        : build(Out.Rewritten, nullptr));
     CurrentIsRound0 = (Round == 0);
     AllocationProblem &P = *Current;
     if (P.fitsBudgets())
@@ -168,7 +175,7 @@ PipelineResult layra::runAllocationPipeline(
 
   // Final assignment over whatever still lives in registers.
   if (!Current) {
-    Current.emplace(buildSsaProblem(Out.Rewritten, Target, Budgets, WS));
+    Current.emplace(build(Out.Rewritten, nullptr));
     CurrentIsRound0 = false;
   }
   AllocationProblem &P = *Current;

@@ -37,9 +37,10 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
   P.Peo = maximumCardinalitySearch(G, WS);
   if (!isPerfectEliminationOrder(G, P.Peo, WS))
     layraFatalError("fromChordalGraph called with a non-chordal graph");
-  P.Cliques = maximalCliquesChordal(G, P.Peo, WS);
-  P.Constraints.reserve(P.Cliques.Cliques.size());
-  for (const std::vector<VertexId> &Clique : P.Cliques.Cliques) {
+  P.Cliques = std::make_shared<const CliqueCover>(
+      maximalCliquesChordal(G, P.Peo, WS));
+  P.Constraints.reserve(P.Cliques->numCliques());
+  for (ArrayView<VertexId> Clique : P.Cliques->Cliques) {
     PressureConstraint C;
     C.Members = Clique;
     // Cross-class vertices are never adjacent, so a clique lies wholly in
@@ -53,7 +54,7 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
              "must not add cross-class edges");
 #endif
     C.Budget = P.Budgets[C.Class];
-    P.Constraints.push_back(std::move(C));
+    P.Constraints.push_back(C);
   }
   P.Chordal = true;
   P.G = std::make_shared<Graph>(std::move(G));
@@ -79,12 +80,14 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
   P.ClassOf.resize(G.numVertices(), 0);
   P.Chordal = false;
 
+  // The member lists go to one flat owner first, with their class; the
+  // constraints view them once the owner is complete.
+  FlatLists<VertexId> Sets;
+  std::vector<RegClassId> SetClass;
   if (!P.multiClass()) {
-    for (std::vector<VertexId> &Set : PointLiveSets) {
-      PressureConstraint C;
-      C.Members = std::move(Set);
-      C.Budget = P.Budgets[0];
-      P.Constraints.push_back(std::move(C));
+    for (const std::vector<VertexId> &Set : PointLiveSets) {
+      Sets.push_back(Set);
+      SetClass.push_back(0);
     }
   } else {
     // Split each point set per class -- values of different files never
@@ -99,40 +102,45 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
       }
     };
     std::unordered_set<std::vector<VertexId>, SliceHash> Seen;
+    std::vector<VertexId> Slice;
     for (const std::vector<VertexId> &Set : PointLiveSets) {
       for (RegClassId Class = 0; Class < P.Budgets.size(); ++Class) {
-        std::vector<VertexId> Slice;
+        Slice.clear();
         for (VertexId V : Set)
           if (P.ClassOf[V] == Class)
             Slice.push_back(V);
         if (Slice.empty() || !Seen.insert(Slice).second)
           continue;
-        PressureConstraint C;
-        C.Members = std::move(Slice);
-        C.Class = Class;
-        C.Budget = P.Budgets[Class];
-        P.Constraints.push_back(std::move(C));
+        Sets.push_back(Slice);
+        SetClass.push_back(Class);
       }
     }
   }
 
-  // Give uncovered vertices a singleton constraint so that "appears in some
+  // Give uncovered vertices a singleton set so that "appears in some
   // constraint" holds for every vertex (solvers rely on it).
   std::vector<char> Covered(G.numVertices(), 0);
-  for (const PressureConstraint &C : P.Constraints)
-    for (VertexId V : C.Members) {
+  for (ArrayView<VertexId> Set : Sets)
+    for (VertexId V : Set) {
       assert(V < G.numVertices() && "constraint mentions unknown vertex");
       Covered[V] = 1;
     }
   for (VertexId V = 0; V < G.numVertices(); ++V)
     if (!Covered[V]) {
-      PressureConstraint C;
-      C.Members = {V};
-      C.Class = P.ClassOf[V];
-      assert(C.Class < P.Budgets.size() && "vertex class without a budget");
-      C.Budget = P.Budgets[C.Class];
-      P.Constraints.push_back(std::move(C));
+      Sets.push_back(std::vector<VertexId>{V});
+      SetClass.push_back(P.ClassOf[V]);
     }
+
+  P.PointSets = std::make_shared<const FlatLists<VertexId>>(std::move(Sets));
+  P.Constraints.reserve(P.PointSets->size());
+  for (unsigned K = 0; K < P.PointSets->size(); ++K) {
+    PressureConstraint C;
+    C.Members = (*P.PointSets)[K];
+    C.Class = SetClass[K];
+    assert(C.Class < P.Budgets.size() && "vertex class without a budget");
+    C.Budget = P.Budgets[C.Class];
+    P.Constraints.push_back(C);
+  }
 
   P.G = std::make_shared<Graph>(std::move(G));
   return P;

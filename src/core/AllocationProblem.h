@@ -31,6 +31,7 @@
 #include "graph/Graph.h"
 #include "ir/LiveIntervals.h"
 #include "ir/Target.h"
+#include "support/FlatLists.h"
 
 #include <memory>
 #include <optional>
@@ -41,9 +42,12 @@ namespace layra {
 class SolverWorkspace;
 
 /// One pressure constraint: at most \p Budget of \p Members may stay in
-/// registers (all members belong to register class \p Class).
+/// registers (all members belong to register class \p Class).  Members is
+/// a view of a list the problem owns (AllocationProblem::Cliques on chordal
+/// instances, PointSets on general ones); the owner is shared by every
+/// copy of the problem, so the view stays valid while any copy lives.
 struct PressureConstraint {
-  std::vector<VertexId> Members;
+  ArrayView<VertexId> Members;
   RegClassId Class = 0;
   unsigned Budget = 0;
 
@@ -70,21 +74,32 @@ struct AllocationProblem {
   /// single-class instances).
   std::vector<RegClassId> ClassOf;
   /// Pressure constraints; every vertex appears in at least one.  For
-  /// chordal instances the Members lists are exactly the maximal cliques
-  /// of G (mirrored in Cliques.Cliques, same order).
+  /// chordal instances constraint K is maximal clique K of G:
+  /// Constraints[K].Members views Cliques->Cliques[K].
   std::vector<PressureConstraint> Constraints;
   /// True when G is chordal and the constraints are its maximal cliques.
   bool Chordal = false;
   /// Perfect elimination order (chordal instances only).
   EliminationOrder Peo;
-  /// Clique bookkeeping (chordal instances only): Cliques.Cliques mirrors
-  /// Constraints[i].Members; CliquesOf supports the fixed-point allocator.
-  CliqueCover Cliques;
+  /// Clique bookkeeping (chordal instances only, null otherwise): the
+  /// maximal cliques the constraints view, and CliquesOf for the
+  /// fixed-point allocator.  Shared and immutable like G, so copies and
+  /// withBudgets() keep every Members view valid without copying a clique.
+  std::shared_ptr<const CliqueCover> Cliques;
+  /// Owner of a general instance's constraint member lists, in constraint
+  /// order (null on chordal instances); shared like Cliques.
+  std::shared_ptr<const FlatLists<VertexId>> PointSets;
   /// Flattened live intervals (instances derived from a function); linear
   /// scan allocators require these.
   std::optional<LiveIntervalTable> Intervals;
 
   const Graph &graph() const { return *G; }
+
+  /// The clique cover of a chordal instance.
+  const CliqueCover &cliques() const {
+    assert(Cliques && "clique cover of a general (or empty) instance");
+    return *Cliques;
+  }
 
   unsigned numClasses() const {
     return static_cast<unsigned>(Budgets.size());

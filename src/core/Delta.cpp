@@ -133,7 +133,8 @@ FunctionDelta layra::computeFunctionDelta(const Function &Base,
 bool layra::buildDeltaProblem(const DeltaBase &Base, const Function &F,
                               const TargetDesc &Target,
                               const std::vector<unsigned> &Budgets,
-                              AllocationProblem &Out, bool &ExactRound0) {
+                              AllocationProblem &Out, bool &ExactRound0,
+                              bool WithIntervals) {
   if (!Base.Live)
     return false; // Capture never completed; nothing to reuse.
   FunctionDelta D = computeFunctionDelta(Base.Ssa, F);
@@ -152,35 +153,29 @@ bool layra::buildDeltaProblem(const DeltaBase &Base, const Function &F,
   // predicate makes liveness, the interference graph, the PEO and the
   // clique tree provably equal to the base's, so those are never rebuilt.
   std::vector<Weight> NewCosts = computeSpillCosts(F, Target);
-  if (NewCosts == Base.Costs) {
-    if (UsedBudgets == Base.Problem.Budgets) {
-      // Identical problem: the retained round-0 allocation is reusable
-      // verbatim (allocateProblem is a pure function of the problem).
-      Out = Base.Problem;
-      ExactRound0 = true;
-      return true;
-    }
+  if (NewCosts == Base.Costs && UsedBudgets == Base.Problem.Budgets) {
+    // Identical problem: the retained round-0 allocation is reusable
+    // verbatim (allocateProblem is a pure function of the problem).
+    Out = Base.Problem;
+    ExactRound0 = true;
+  } else {
+    // Everything budget- and structure-shaped carries over; the graph,
+    // cliques and constraint lists are shared, not copied.
     Out = Base.Problem.withBudgets(std::move(UsedBudgets));
     ExactRound0 = false;
-    return true;
+    if (NewCosts != Base.Costs) {
+      // Costs changed: clone the graph (one copy, no edge recomputation)
+      // and refresh the vertex weights and the cost-carrying intervals.
+      Graph NG(*Base.Problem.G);
+      for (VertexId V = 0; V < NG.numVertices(); ++V)
+        NG.setWeight(V, NewCosts[V]);
+      Out.G = std::make_shared<Graph>(std::move(NG));
+      Out.Intervals.reset();
+    }
   }
-
-  // Costs changed: clone the graph (structure shared-nothing but cheap --
-  // one copy, no edge recomputation) and refresh the vertex weights;
-  // everything budget- and structure-shaped carries over.
-  Graph NG(*Base.Problem.G);
-  for (VertexId V = 0; V < NG.numVertices(); ++V)
-    NG.setWeight(V, NewCosts[V]);
-  Out.G = std::make_shared<Graph>(std::move(NG));
-  Out.ClassOf = Base.Problem.ClassOf;
-  Out.Constraints = Base.Problem.Constraints;
-  for (PressureConstraint &C : Out.Constraints)
-    C.Budget = UsedBudgets[C.Class];
-  Out.Chordal = Base.Problem.Chordal;
-  Out.Peo = Base.Problem.Peo;
-  Out.Cliques = Base.Problem.Cliques;
-  Out.Intervals = computeLiveIntervals(F, *Base.Live, NewCosts);
-  Out.Budgets = std::move(UsedBudgets);
-  ExactRound0 = false;
+  // A base captured by a graph allocator carries no interval table; build
+  // it from the base liveness when this run's allocator reads one.
+  if (WithIntervals && !Out.Intervals)
+    Out.Intervals = computeLiveIntervals(F, *Base.Live, NewCosts);
   return true;
 }

@@ -95,13 +95,20 @@ struct DeltaBase {
 /// caller must fall back to a full buildSsaProblem().
 ///
 /// On success \p ExactRound0 reports whether \p Out is *identical* to
-/// Base.Problem (equal recomputed costs and equal budgets): in that case
-/// a caller using Base.AllocatorName may reuse Base.Round0 instead of
-/// allocating, because allocateProblem is a pure function of the problem.
+/// Base.Problem (equal recomputed costs and equal budgets; only a missing
+/// interval table may have been added): in that case a caller using
+/// Base.AllocatorName may reuse Base.Round0 instead of allocating, because
+/// allocateProblem is a pure function of the problem.
+///
+/// \p WithIntervals says whether \p Out must carry live intervals (the
+/// caller's allocator requiresIntervals()).  They are built from the base
+/// liveness when Base.Problem has none -- a base captured by a graph
+/// allocator -- or when the costs changed.
 bool buildDeltaProblem(const DeltaBase &Base, const Function &F,
                        const TargetDesc &Target,
                        const std::vector<unsigned> &Budgets,
-                       AllocationProblem &Out, bool &ExactRound0);
+                       AllocationProblem &Out, bool &ExactRound0,
+                       bool WithIntervals = true);
 
 /// Optional delta channel of one runAllocationPipeline() call.  At most
 /// one of Base/Capture is set by the driver: Base feeds the warm-start

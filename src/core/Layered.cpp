@@ -28,6 +28,10 @@ struct LayeredState {
   std::vector<char> &Allocated;        // Result flags.
   std::vector<unsigned> &PerClique;    // Allocated count per maximal clique.
   std::vector<char> &CliqueClosed;     // Clique reached R allocated vertices.
+  /// Candidate neighbors per vertex (biased runs only): kept current as
+  /// vertices leave the candidate set, so each solve spends O(E) on
+  /// degrees in total instead of O(E) per layer.
+  std::vector<unsigned> &CandidateDegree;
   /// Clique tree for the step >= 2 DP; built once per run on first use so
   /// every layer shares it.
   CliqueTree StepTree;
@@ -40,9 +44,25 @@ struct LayeredState {
             WS.acquire(WS.Layered.Candidates, P.graph().numVertices(), char(1))),
         Allocated(
             WS.acquire(WS.Layered.Allocated, P.graph().numVertices(), char(0))),
-        PerClique(WS.acquire(WS.Layered.PerClique, P.Cliques.numCliques(), 0u)),
+        PerClique(WS.acquire(WS.Layered.PerClique, P.cliques().numCliques(), 0u)),
         CliqueClosed(WS.acquire(WS.Layered.CliqueClosed,
-                                P.Cliques.numCliques(), char(0))) {}
+                                P.cliques().numCliques(), char(0))),
+        CandidateDegree(WS.acquire(WS.Layered.CandidateDegree,
+                                   Opt.Biased ? P.graph().numVertices() : 0,
+                                   0u)) {
+    for (VertexId V = 0; V < CandidateDegree.size(); ++V)
+      CandidateDegree[V] = P.graph().degree(V);
+  }
+
+  /// Takes \p V out of the candidate set (no-op if it already left).
+  void dropCandidate(VertexId V) {
+    if (!Candidates[V])
+      return;
+    Candidates[V] = 0;
+    if (Opt.Biased)
+      for (VertexId U : P.graph().neighbors(V))
+        --CandidateDegree[U];
+  }
 
   /// Weights for the next layer: raw, or biased by the remaining
   /// interference degree (paper §4.1).  Biasing w -> w*|V| + |adj| preserves
@@ -59,10 +79,8 @@ struct LayeredState {
         W[V] = P.graph().weight(V);
         continue;
       }
-      Weight Degree = 0;
-      for (VertexId U : P.graph().neighbors(V))
-        Degree += Candidates[U] ? 1 : 0;
-      W[V] = P.graph().weight(V) * static_cast<Weight>(N) + Degree;
+      W[V] = P.graph().weight(V) * static_cast<Weight>(N) +
+             static_cast<Weight>(CandidateDegree[V]);
     }
     return W;
   }
@@ -76,7 +94,7 @@ struct LayeredState {
       return maximumWeightedStableSetChordal(P.graph(), P.Peo, W, Candidates, &WS)
           .Set;
     if (!StepTreeBuilt) {
-      StepTree = buildCliqueTree(P.graph(), P.Cliques);
+      StepTree = buildCliqueTree(P.graph(), P.cliques());
       StepTreeBuilt = true;
     }
     return optimalBoundedLayer(P, Candidates, W, Bound, &WS, &StepTree);
@@ -87,7 +105,7 @@ struct LayeredState {
     for (VertexId V : Layer) {
       assert(Candidates[V] && !Allocated[V] && "layer reused a vertex");
       Allocated[V] = 1;
-      Candidates[V] = 0;
+      dropCandidate(V);
     }
   }
 
@@ -96,14 +114,14 @@ struct LayeredState {
   /// remaining vertices leave the candidate set.
   void updateCliques(const std::vector<VertexId> &Fresh) {
     for (VertexId V : Fresh)
-      for (unsigned C : P.Cliques.CliquesOf[V]) {
+      for (unsigned C : P.cliques().CliquesOf[V]) {
         if (CliqueClosed[C])
           continue;
         if (++PerClique[C] < P.uniformBudget())
           continue;
         CliqueClosed[C] = 1;
-        for (VertexId U : P.Cliques.Cliques[C])
-          Candidates[U] = 0;
+        for (VertexId U : P.cliques().Cliques[C])
+          dropCandidate(U);
       }
   }
 };
@@ -145,11 +163,11 @@ AllocationResult layra::layeredAllocate(const AllocationProblem &P,
     // Close cliques the first phase saturated (Algorithm 3 line 8 calls
     // UPDATE once before the loop; updateCliques above already accounted
     // the counts, so just sweep for saturated cliques).
-    for (unsigned C = 0; C < P.Cliques.numCliques(); ++C)
+    for (unsigned C = 0; C < P.cliques().numCliques(); ++C)
       if (!S.CliqueClosed[C] && S.PerClique[C] >= R) {
         S.CliqueClosed[C] = 1;
-        for (VertexId U : P.Cliques.Cliques[C])
-          S.Candidates[U] = 0;
+        for (VertexId U : P.cliques().Cliques[C])
+          S.dropCandidate(U);
       }
     for (;;) {
       std::vector<VertexId> Layer = S.computeLayer(1);

@@ -20,20 +20,21 @@ void SolverWorkspace::releaseMemory() {
   release(Stable.RedStack);
   release(Stable.BlueAdjacent);
 
-  release(Chordal.Buckets);
+  release(Chordal.BucketHead);
+  release(Chordal.BucketPool);
   release(Chordal.Count);
-  release(Chordal.Visited);
-  release(Chordal.Later);
-  release(Chordal.LaterCount);
   release(Chordal.Parent);
+  release(Chordal.CsrStart);
+  release(Chordal.CsrItems);
+  release(Chordal.Stamp);
   release(Chordal.Flags);
-  release(Chordal.MustBeAdjacentTo);
 
   release(Layered.Candidates);
   release(Layered.Allocated);
   release(Layered.CliqueClosed);
   release(Layered.PerClique);
   release(Layered.LayerWeights);
+  release(Layered.CandidateDegree);
 
   release(Step.Nodes);
   release(Step.BagWeight);
@@ -64,6 +65,7 @@ void SolverWorkspace::releaseMemory() {
 
   release(Interference.Point);
   release(Interference.Entry);
+  release(Interference.Edges);
 
   release(ClassSplit.ToGlobal);
   release(ClassSplit.MergedFlags);

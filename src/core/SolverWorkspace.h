@@ -9,11 +9,12 @@
 /// A SolverWorkspace owns every piece of scratch state the allocation hot
 /// path would otherwise reallocate per layer and per task: candidate masks
 /// and weight vectors (core/Layered), Frank's-algorithm residuals
-/// (graph/StableSet), MCS buckets and later-neighbor buffers
-/// (graph/Chordal), clique-tree DP tables (core/StepLayer), shortest-path
-/// state of the residual network (flow/MinCostFlow), the simplex tableau
-/// (lp/Simplex), cluster buffers (core/LayeredHeuristic) and the pipeline's
-/// pin/spill flags (alloc/Pipeline).
+/// (graph/StableSet), MCS buckets and PEO/clique CSR buffers
+/// (graph/Chordal), the interference edge list (ir/Interference),
+/// clique-tree DP tables (core/StepLayer), shortest-path state of the
+/// residual network (flow/MinCostFlow), the simplex tableau (lp/Simplex),
+/// cluster buffers (core/LayeredHeuristic) and the pipeline's pin/spill
+/// flags (alloc/Pipeline).
 ///
 /// The layered allocator is polynomial precisely because it re-solves a
 /// bounded subproblem per layer; without reuse, each of those R solves --
@@ -115,26 +116,6 @@ public:
     return Buffer;
   }
 
-  /// Checks out a vector-of-vectors with \p N empty inner vectors, each
-  /// keeping its capacity.  (A plain `Outer.assign(N, {})` would free every
-  /// inner buffer -- exactly the churn this class exists to avoid.)  Inner
-  /// growth is attributed like acquireCleared: capacity gained since a
-  /// buffer's previous checkout counts as freshly allocated.
-  template <typename T>
-  std::vector<std::vector<T>> &
-  acquireNested(std::vector<std::vector<T>> &Outer, size_t N) {
-    if (Outer.size() > N)
-      Outer.resize(N);
-    for (std::vector<T> &Inner : Outer) {
-      size_t &Prev = LastClearedCapacity[&Inner];
-      account(/*Capacity=*/Prev, /*Requested=*/Inner.capacity(), sizeof(T));
-      Prev = Inner.capacity();
-      Inner.clear();
-    }
-    Outer.resize(N);
-    return Outer;
-  }
-
   /// Checkout accounting.
   WorkspaceStats Stats;
 
@@ -151,17 +132,26 @@ public:
     std::vector<char> BlueAdjacent;
   } Stable;
 
-  /// Chordal machinery (graph/Chordal.cpp): MCS buckets, the shared
-  /// later-neighbors buffer, and the RTL PEO-check batches.
+  /// One entry of the MCS bucket pool (graph/Chordal.cpp): a vertex and
+  /// the pool index of the next-older entry of its bucket.
+  struct McsEntry {
+    VertexId V;
+    uint32_t Next;
+  };
+
+  /// Chordal machinery (graph/Chordal.cpp).  BucketHead/BucketPool are the
+  /// MCS buckets as linked stacks in one flat pool; Parent and Stamp serve
+  /// the PEO check; CsrStart/CsrItems hold clique extraction's
+  /// later-neighbor lists.
   struct ChordalScratch {
-    std::vector<std::vector<VertexId>> Buckets;
+    std::vector<uint32_t> BucketHead;
+    std::vector<McsEntry> BucketPool;
     std::vector<unsigned> Count;
-    std::vector<char> Visited;
-    std::vector<VertexId> Later;
-    std::vector<unsigned> LaterCount;
     std::vector<VertexId> Parent;
+    std::vector<unsigned> Stamp;
+    std::vector<uint32_t> CsrStart;
+    std::vector<VertexId> CsrItems;
     std::vector<char> Flags;
-    std::vector<std::vector<VertexId>> MustBeAdjacentTo;
   } Chordal;
 
   /// Layered allocator per-run state (core/Layered.cpp).
@@ -171,6 +161,7 @@ public:
     std::vector<char> CliqueClosed;
     std::vector<unsigned> PerClique;
     std::vector<Weight> LayerWeights;
+    std::vector<unsigned> CandidateDegree;
   } Layered;
 
   /// One clique-tree node's DP table (core/StepLayer.cpp).  ProjKeys /
@@ -241,10 +232,12 @@ public:
   } Pipeline;
 
   /// Interference-graph construction (ir/Interference.cpp): the per-point
-  /// live-index buffers the backward walk re-fills per instruction.
+  /// live-index buffers the backward walk re-fills per instruction, and the
+  /// ordered edge list frozen into the graph's CSR at the end.
   struct InterferenceScratch {
     std::vector<VertexId> Point;
     std::vector<VertexId> Entry;
+    std::vector<Graph::Edge> Edges;
   } Interference;
 
   /// Per-class decomposition of multi-class instances
@@ -270,12 +263,11 @@ private:
     ++Stats.Acquires;
   }
 
-  /// Capacity each acquireCleared/acquireNested buffer had at its previous
-  /// checkout, keyed by buffer address.  Direct members have stable
-  /// addresses; pooled inner vectors (Step.Nodes, Chordal.Buckets) can
-  /// move when their pool grows, which merely re-classifies their retained
-  /// capacity as cold once.  Pure accounting state -- never affects buffer
-  /// contents.
+  /// Capacity each acquireCleared buffer had at its previous checkout,
+  /// keyed by buffer address.  Direct members have stable addresses;
+  /// pooled inner vectors (Step.Nodes) can move when their pool grows,
+  /// which merely re-classifies their retained capacity as cold once.
+  /// Pure accounting state -- never affects buffer contents.
   std::unordered_map<const void *, size_t> LastClearedCapacity;
 };
 

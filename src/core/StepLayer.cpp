@@ -36,7 +36,7 @@ double layra::estimateBoundedLayerStates(const AllocationProblem &P,
                                          const std::vector<char> &Mask,
                                          unsigned Bound) {
   double Total = 0;
-  for (const auto &K : P.Cliques.Cliques) {
+  for (const auto &K : P.cliques().Cliques) {
     unsigned M = 0;
     for (VertexId V : K)
       M += (Mask.empty() || Mask[V]) ? 1 : 0;
@@ -106,7 +106,7 @@ layra::optimalBoundedLayer(const AllocationProblem &P,
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
 
-  const CliqueCover &Cover = P.Cliques;
+  const CliqueCover &Cover = P.cliques();
   CliqueTree OwnTree;
   if (!Tree) {
     OwnTree = buildCliqueTree(P.graph(), Cover);

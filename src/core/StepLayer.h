@@ -52,8 +52,8 @@ double estimateBoundedLayerStates(const AllocationProblem &P,
 /// \param WS optional scratch workspace: the per-node DP tables (bags,
 ///        subset states, values, projection indices) are checked out of it,
 ///        so repeated layers over one problem reuse the same arenas.
-/// \param Tree optional precomputed clique tree of (P.graph(), P.Cliques); when
-///        null, one is built per call.  The layered allocator builds it
+/// \param Tree optional precomputed clique tree of (P.graph(),
+///        P.cliques()); when null, one is built per call.  The layered allocator builds it
 ///        once per run and shares it across layers.
 ///
 /// For Bound == 1 this equals the maximum weighted stable set; callers use

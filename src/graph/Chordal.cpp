@@ -36,37 +36,48 @@ EliminationOrder layra::maximumCardinalitySearch(const Graph &G,
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
   unsigned N = G.numVertices();
-  // Bucketed MCS: Buckets[c] holds unvisited vertices with c visited
-  // neighbors; we repeatedly visit from the highest non-empty bucket.
-  std::vector<std::vector<VertexId>> &Buckets =
-      WS->acquireNested(WS->Chordal.Buckets, N + 1);
+  constexpr uint32_t None = ~0u;
+  constexpr unsigned Visited = ~0u; // Count of a vertex already visited.
+  // Bucketed MCS: bucket c is a stack of vertices with c visited neighbors,
+  // kept as a singly-linked list threaded through one flat entry pool
+  // (BucketHead[c] is the newest entry).  A vertex gets a fresh entry each
+  // time its count rises, so each bucket's newest *live* entry is on top;
+  // entries left behind by a rise or a visit are skipped when popped.  We
+  // repeatedly visit from the highest bucket with a live entry.  The pool
+  // takes one entry per vertex plus one per edge.
+  std::vector<uint32_t> &Head = WS->acquire(WS->Chordal.BucketHead, N + 1, None);
+  std::vector<SolverWorkspace::McsEntry> &Pool =
+      WS->acquireCleared(WS->Chordal.BucketPool);
+  Pool.reserve(N + G.numEdges());
   std::vector<unsigned> &Count = WS->acquire(WS->Chordal.Count, N, 0u);
-  std::vector<char> &Visited = WS->acquire(WS->Chordal.Visited, N, char(0));
+  auto Push = [&](unsigned C, VertexId V) {
+    Pool.push_back({V, Head[C]});
+    Head[C] = static_cast<uint32_t>(Pool.size() - 1);
+  };
   for (VertexId V = 0; V < N; ++V)
-    Buckets[0].push_back(V);
+    Push(0, V);
 
   std::vector<VertexId> Visit;
   Visit.reserve(N);
   unsigned Top = 0;
   while (Visit.size() < N) {
-    while (Buckets[Top].empty()) {
+    while (Head[Top] == None) {
       assert(Top > 0 && "MCS ran out of vertices before visiting all");
       --Top;
     }
-    VertexId V = Buckets[Top].back();
-    Buckets[Top].pop_back();
-    if (Visited[V])
-      continue; // Stale bucket entry; the vertex moved to a higher bucket.
-    if (Count[V] != Top)
-      continue; // Stale: superseded by a later push at the correct level.
-    Visited[V] = 1;
-    Visit.push_back(V);
-    for (VertexId U : G.neighbors(V)) {
-      if (Visited[U])
+    SolverWorkspace::McsEntry E = Pool[Head[Top]];
+    Head[Top] = E.Next;
+    if (Count[E.V] != Top)
+      continue; // Stale: visited, or superseded at a higher count.
+    Count[E.V] = Visited;
+    Visit.push_back(E.V);
+    for (VertexId U : G.neighbors(E.V)) {
+      unsigned C = Count[U];
+      if (C == Visited)
         continue;
-      ++Count[U];
-      Buckets[Count[U]].push_back(U);
-      Top = std::max(Top, Count[U]);
+      Count[U] = ++C;
+      Push(C, U);
+      Top = std::max(Top, C);
     }
   }
 
@@ -121,17 +132,6 @@ EliminationOrder layra::lexBfs(const Graph &G) {
   return EliminationOrder::fromOrder(std::move(Visit));
 }
 
-/// Later neighbors of \p V (the "monotone adjacency set" of the RTL
-/// chordality literature), collected into the caller's scratch buffer
-/// (cleared first) so tight loops do not allocate per vertex.
-static void laterNeighbors(const Graph &G, const EliminationOrder &Peo,
-                           VertexId V, std::vector<VertexId> &Out) {
-  Out.clear();
-  for (VertexId U : G.neighbors(V))
-    if (Peo.Position[U] > Peo.Position[V])
-      Out.push_back(U);
-}
-
 bool layra::isPerfectEliminationOrder(const Graph &G,
                                       const EliminationOrder &Order,
                                       SolverWorkspace *WS) {
@@ -141,37 +141,29 @@ bool layra::isPerfectEliminationOrder(const Graph &G,
   unsigned N = G.numVertices();
   if (Order.Order.size() != N)
     return false;
-  // Rose-Tarjan-Lueker test: for each vertex v, let u be the earliest later
-  // neighbor; all other later neighbors of v must be adjacent to u.  We
-  // batch the membership checks per u.
-  std::vector<std::vector<VertexId>> &MustBeAdjacentTo =
-      WS->acquireNested(WS->Chordal.MustBeAdjacentTo, N);
-  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
-  for (VertexId V : Order.Order) {
-    laterNeighbors(G, Order, V, Later);
-    if (Later.empty())
-      continue;
-    VertexId Parent = *std::min_element(
-        Later.begin(), Later.end(), [&](VertexId A, VertexId B) {
-          return Order.Position[A] < Order.Position[B];
-        });
-    for (VertexId U : Later)
-      if (U != Parent)
-        MustBeAdjacentTo[Parent].push_back(U);
-  }
-  std::vector<char> &Mark = WS->acquire(WS->Chordal.Flags, N, char(0));
-  for (VertexId U = 0; U < N; ++U) {
-    if (MustBeAdjacentTo[U].empty())
-      continue;
-    for (VertexId W : G.neighbors(U))
-      Mark[W] = 1;
-    bool Ok = true;
-    for (VertexId W : MustBeAdjacentTo[U])
-      Ok = Ok && Mark[W];
-    for (VertexId W : G.neighbors(U))
-      Mark[W] = 0;
-    if (!Ok)
-      return false;
+  const std::vector<unsigned> &Pos = Order.Position;
+  // Rose-Tarjan-Lueker condition: for each vertex v, let p be its parent
+  // (earliest later neighbor); all other later neighbors of v must be
+  // adjacent to p.  Tarjan-Yannakakis check it in one sweep in order: when
+  // w is reached, each earlier neighbor v has w as a later neighbor, and
+  // Parent[v] is already final unless w is v's parent.  Stamping w's
+  // earlier neighbors with w's position turns "Parent[v] == w or
+  // Parent[v] is adjacent to w" into one array lookup.
+  std::vector<VertexId> &Parent = WS->acquire(WS->Chordal.Parent, N, VertexId(0));
+  std::vector<unsigned> &Stamp = WS->acquire(WS->Chordal.Stamp, N, 0u);
+  for (unsigned I = 0; I < N; ++I) {
+    VertexId W = Order.Order[I];
+    Parent[W] = W; // No later neighbor seen yet.
+    Stamp[W] = I;
+    for (VertexId V : G.neighbors(W))
+      if (Pos[V] < I) {
+        Stamp[V] = I;
+        if (Parent[V] == V)
+          Parent[V] = W;
+      }
+    for (VertexId V : G.neighbors(W))
+      if (Pos[V] < I && Stamp[Parent[V]] != I)
+        return false;
   }
   return true;
 }
@@ -182,9 +174,27 @@ bool layra::isChordal(const Graph &G) {
 
 unsigned CliqueCover::maxCliqueSize() const {
   size_t Max = 0;
-  for (const auto &K : Cliques)
+  for (ArrayView<VertexId> K : Cliques)
     Max = std::max(Max, K.size());
   return static_cast<unsigned>(Max);
+}
+
+/// The CliquesOf index of \p Cliques over \p NumVertices vertices: one
+/// counting sort, which lists each vertex's cliques in increasing order.
+static FlatLists<unsigned> indexVertices(const FlatLists<VertexId> &Cliques,
+                                         unsigned NumVertices) {
+  std::vector<uint32_t> Start(NumVertices + 1, 0);
+  for (ArrayView<VertexId> K : Cliques)
+    for (VertexId V : K)
+      ++Start[V + 1];
+  for (VertexId V = 0; V < NumVertices; ++V)
+    Start[V + 1] += Start[V];
+  std::vector<unsigned> Index(Start[NumVertices]);
+  std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+  for (unsigned K = 0; K < Cliques.size(); ++K)
+    for (VertexId V : Cliques[K])
+      Index[Fill[V]++] = K;
+  return FlatLists<unsigned>::fromParts(std::move(Start), std::move(Index));
 }
 
 CliqueCover layra::maximalCliquesChordal(const Graph &G,
@@ -195,46 +205,58 @@ CliqueCover layra::maximalCliquesChordal(const Graph &G,
   assert(isPerfectEliminationOrder(G, Peo) &&
          "maximalCliquesChordal requires a PEO (is the graph chordal?)");
   unsigned N = G.numVertices();
+  constexpr VertexId None = ~0u;
+  const std::vector<unsigned> &Pos = Peo.Position;
   // Fulkerson-Gross: every maximal clique is C_v = {v} + laterNeighbors(v)
   // for some v.  C_v is NON-maximal iff some u with parent(u) == v satisfies
   // |later(u)| == |later(v)| + 1 (then C_v is a subset of C_u); this is the
-  // Blair-Peyton detection used in clique-tree construction.
-  std::vector<unsigned> &LaterCount =
-      WS->acquire(WS->Chordal.LaterCount, N, 0u);
-  std::vector<VertexId> &Parent =
-      WS->acquire(WS->Chordal.Parent, N, VertexId(~0u));
-  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
+  // Blair-Peyton detection used in clique-tree construction.  One sweep
+  // gathers every vertex's later neighbors (in adjacency order) into the
+  // Items/Start CSR and finds its parent; the cliques are copied from it.
+  std::vector<VertexId> &Parent = WS->acquire(WS->Chordal.Parent, N, None);
+  std::vector<uint32_t> &Start = WS->acquire(WS->Chordal.CsrStart, N + 1, 0u);
+  std::vector<VertexId> &Items = WS->acquireCleared(WS->Chordal.CsrItems);
   for (VertexId V = 0; V < N; ++V) {
-    laterNeighbors(G, Peo, V, Later);
-    LaterCount[V] = static_cast<unsigned>(Later.size());
-    if (!Later.empty())
-      Parent[V] = *std::min_element(
-          Later.begin(), Later.end(), [&](VertexId A, VertexId B) {
-            return Peo.Position[A] < Peo.Position[B];
-          });
+    for (VertexId U : G.neighbors(V))
+      if (Pos[U] > Pos[V]) {
+        Items.push_back(U);
+        if (Parent[V] == None || Pos[U] < Pos[Parent[V]])
+          Parent[V] = U;
+      }
+    Start[V + 1] = static_cast<uint32_t>(Items.size());
   }
+  auto LaterCount = [&](VertexId V) { return Start[V + 1] - Start[V]; };
 
   std::vector<char> &Absorbed = WS->acquire(WS->Chordal.Flags, N, char(0));
   for (VertexId U = 0; U < N; ++U)
-    if (Parent[U] != ~0u && LaterCount[U] == LaterCount[Parent[U]] + 1)
+    if (Parent[U] != None && LaterCount(U) == LaterCount(Parent[U]) + 1)
       Absorbed[Parent[U]] = 1;
 
-  CliqueCover Cover;
-  Cover.CliquesOf.resize(N);
+  // Exact-size output: count first, then fill.
+  size_t NumCliques = 0, NumMembers = 0;
+  for (VertexId V = 0; V < N; ++V)
+    if (!Absorbed[V]) {
+      ++NumCliques;
+      NumMembers += LaterCount(V) + 1;
+    }
+  assert(NumMembers <= UINT32_MAX && "clique members overflow offsets");
+  std::vector<uint32_t> Offsets;
+  Offsets.reserve(NumCliques + 1);
+  Offsets.push_back(0);
+  std::vector<VertexId> Members;
+  Members.reserve(NumMembers);
   for (VertexId V : Peo.Order) {
     if (Absorbed[V])
       continue;
-    laterNeighbors(G, Peo, V, Later);
-    // The clique itself is output, not scratch: copy at exact size.
-    std::vector<VertexId> Clique;
-    Clique.reserve(Later.size() + 1);
-    Clique.assign(Later.begin(), Later.end());
-    Clique.push_back(V);
-    unsigned Index = Cover.numCliques();
-    for (VertexId U : Clique)
-      Cover.CliquesOf[U].push_back(Index);
-    Cover.Cliques.push_back(std::move(Clique));
+    Members.insert(Members.end(), Items.begin() + Start[V],
+                   Items.begin() + Start[V + 1]);
+    Members.push_back(V);
+    Offsets.push_back(static_cast<uint32_t>(Members.size()));
   }
+  CliqueCover Cover;
+  Cover.Cliques =
+      FlatLists<VertexId>::fromParts(std::move(Offsets), std::move(Members));
+  Cover.CliquesOf = indexVertices(Cover.Cliques, N);
   return Cover;
 }
 
@@ -280,7 +302,7 @@ CliqueTree layra::buildCliqueTree(const Graph &G, const CliqueCover &Cover) {
   // Only pairs sharing a vertex matter; enumerate them via CliquesOf.
   std::unordered_map<uint64_t, unsigned> Shared;
   for (VertexId V = 0; V < G.numVertices(); ++V) {
-    const std::vector<unsigned> &In = Cover.CliquesOf[V];
+    ArrayView<unsigned> In = Cover.CliquesOf[V];
     for (size_t A = 0; A < In.size(); ++A)
       for (size_t B = A + 1; B < In.size(); ++B) {
         unsigned I = std::min(In[A], In[B]), J = std::max(In[A], In[B]);

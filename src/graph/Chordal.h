@@ -19,6 +19,7 @@
 #define LAYRA_GRAPH_CHORDAL_H
 
 #include "graph/Graph.h"
+#include "support/FlatLists.h"
 
 #include <optional>
 #include <vector>
@@ -40,8 +41,10 @@ struct EliminationOrder {
 /// Computes an elimination order via Maximum Cardinality Search.
 /// For a chordal graph the *reverse* of the MCS visit order is a perfect
 /// elimination order; the returned order is already reversed, i.e. it is a
-/// PEO whenever \p G is chordal.  \p WS optionally supplies the bucket
-/// scratch (core/SolverWorkspace.h); results are identical either way.
+/// PEO whenever \p G is chordal.  Ties go to the vertex that most recently
+/// reached the top count (vertex N-1 first at the start).  \p WS
+/// optionally supplies the bucket scratch (core/SolverWorkspace.h);
+/// results are identical either way.
 EliminationOrder maximumCardinalitySearch(const Graph &G,
                                           SolverWorkspace *WS = nullptr);
 
@@ -50,33 +53,40 @@ EliminationOrder maximumCardinalitySearch(const Graph &G,
 EliminationOrder lexBfs(const Graph &G);
 
 /// Returns true if \p Order is a perfect elimination order of \p G: each
-/// vertex's later neighbors form a clique.  Linear-time RTL check.
+/// vertex's later neighbors form a clique.  Linear-time RTL check: every
+/// later neighbor of v other than its parent (earliest later neighbor)
+/// must be adjacent to the parent, tested in one sweep over \p Order
+/// (Tarjan-Yannakakis) with two vertex-indexed workspace arrays.
 bool isPerfectEliminationOrder(const Graph &G, const EliminationOrder &Order,
                                SolverWorkspace *WS = nullptr);
 
 /// Returns true if \p G is chordal (every cycle of length >= 4 has a chord).
 bool isChordal(const Graph &G);
 
-/// The maximal cliques of a chordal graph, plus bookkeeping used by the
+/// A set of cliques covering every vertex, stored flat: the maximal
+/// cliques of a chordal graph (maximalCliquesChordal), the constraint
+/// structure of chordal allocation problems, plus the per-vertex index the
 /// fixed-point layered allocator (paper Algorithm 4) and the step-k dynamic
-/// program.
+/// program use.  Two member arrays and two offset arrays in all, however
+/// many cliques there are.
 struct CliqueCover {
-  /// Each maximal clique as a vertex list (unordered).
-  std::vector<std::vector<VertexId>> Cliques;
-  /// CliquesOf[v] lists the indices of the maximal cliques containing v.
-  std::vector<std::vector<unsigned>> CliquesOf;
+  /// Clique K's vertices are Cliques[K] (unordered).
+  FlatLists<VertexId> Cliques;
+  /// CliquesOf[v] lists the indices of the cliques containing v, in
+  /// increasing order.
+  FlatLists<unsigned> CliquesOf;
 
-  unsigned numCliques() const {
-    return static_cast<unsigned>(Cliques.size());
-  }
+  unsigned numCliques() const { return Cliques.size(); }
 
   /// Size of the largest clique; equals the chromatic number for chordal
   /// graphs and MaxLive for SSA interference graphs.
   unsigned maxCliqueSize() const;
 };
 
-/// Enumerates all maximal cliques of chordal \p G given a PEO.
-/// Runs in O(V + E) time plus output size.
+/// Enumerates all maximal cliques of chordal \p G given a PEO, in PEO
+/// order of their earliest vertex, and indexes them per vertex.  Runs in
+/// O(V + E) time plus output size; \p WS supplies the later-neighbor
+/// scratch, and the result never aliases it.
 /// \pre \p Peo is a perfect elimination order of \p G.
 CliqueCover maximalCliquesChordal(const Graph &G, const EliminationOrder &Peo,
                                   SolverWorkspace *WS = nullptr);

@@ -8,6 +8,7 @@
 #include "graph/Graph.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 using namespace layra;
 
@@ -97,6 +98,69 @@ void Graph::compress() {
   // Release the per-vertex list storage; the CSR is the view from now on.
   std::vector<std::vector<VertexId>>().swap(Adjacency);
   Compressed = true;
+}
+
+Graph Graph::fromEdgeList(std::vector<Weight> Weights,
+                          std::vector<std::string> Names,
+                          std::vector<Edge> &Edges) {
+  Graph G;
+  unsigned N = static_cast<unsigned>(Weights.size());
+  assert((Names.empty() || Names.size() == N) && "one name per vertex");
+  G.Weights = std::move(Weights);
+  G.Names = std::move(Names);
+  if (N > kMaxDenseVertices) {
+    G.MatrixEnabled = false;
+  } else if (N > 0) {
+    G.MatrixStride = (N + 63) / 64;
+    G.Matrix.assign(static_cast<std::size_t>(N) * G.MatrixStride, 0);
+  }
+
+  // Keep the first occurrence of every edge, in list order.
+  std::unordered_set<uint64_t> Seen;
+  if (!G.MatrixStride)
+    Seen.reserve(Edges.size());
+  size_t Kept = 0;
+  for (const Edge &E : Edges) {
+    VertexId U = E.first, V = E.second;
+    assert(U < N && V < N && "vertex out of range");
+    assert(U != V && "self-loops are not interference edges");
+    if (G.MatrixStride) {
+      if (G.hasEdge(U, V))
+        continue;
+      G.setMatrixBit(U, V);
+      G.setMatrixBit(V, U);
+    } else if (!Seen.insert((uint64_t(std::min(U, V)) << 32) |
+                            std::max(U, V))
+                    .second) {
+      continue;
+    }
+    Edges[Kept++] = E;
+  }
+  Edges.resize(Kept);
+  G.EdgeCount = Kept;
+
+  // Counting sort into the CSR: CsrOffsets[V + 1] first counts V's
+  // neighbors, then the fill advances CsrOffsets[V] from V's start to its
+  // end, and the final shift restores the starts.  Walking the edges in
+  // list order appends each vertex's neighbors in first-insertion order.
+  assert(2 * Kept <= UINT32_MAX && "edge count overflows CSR offsets");
+  G.CsrOffsets.assign(N + 1, 0);
+  G.CsrNeighbors.resize(2 * Kept);
+  for (const Edge &E : Edges) {
+    ++G.CsrOffsets[E.first + 1];
+    ++G.CsrOffsets[E.second + 1];
+  }
+  for (VertexId V = 0; V < N; ++V)
+    G.CsrOffsets[V + 1] += G.CsrOffsets[V];
+  for (const Edge &E : Edges) {
+    G.CsrNeighbors[G.CsrOffsets[E.first]++] = E.second;
+    G.CsrNeighbors[G.CsrOffsets[E.second]++] = E.first;
+  }
+  for (VertexId V = N; V > 0; --V)
+    G.CsrOffsets[V] = G.CsrOffsets[V - 1];
+  G.CsrOffsets[0] = 0;
+  G.Compressed = true;
+  return G;
 }
 
 const std::string &Graph::name(VertexId V) const {

@@ -12,27 +12,33 @@
 /// represents the access frequency of a variable").
 ///
 /// Storage is layered for the solver hot paths:
-///  - Mutable phase: per-vertex adjacency lists in *insertion order* (the
-///    order is load-bearing -- MCS bucket tie-breaking and with it every
-///    PEO, clique cover and DP result depends on it), plus a dense bit
-///    matrix making hasEdge()/addEdge() duplicate detection O(1) for
-///    graphs up to kMaxDenseVertices.
-///  - Frozen phase: compress() flattens the lists into a CSR view (offsets
-///    + one packed neighbor array) so every neighbor walk in MCS, Frank's
-///    algorithm and the clique-tree DP streams one contiguous array
-///    instead of chasing per-vertex heap blocks.  compress() preserves
-///    iteration order exactly; results are bit-identical either way.
+///  - Mutable phase (addVertex / addEdge): per-vertex adjacency lists in
+///    *insertion order* (the order is load-bearing -- MCS bucket
+///    tie-breaking and with it every PEO, clique cover and DP result
+///    depends on it), plus a dense bit matrix making hasEdge()/addEdge()
+///    duplicate detection O(1) for graphs up to kMaxDenseVertices.  Used by
+///    generators, tests and induced subgraphs.
+///  - Frozen phase: a CSR view (offsets + one packed neighbor array) so
+///    every neighbor walk in MCS, Frank's algorithm and the clique-tree DP
+///    streams one contiguous array.  compress() flattens the mutable lists
+///    into it; fromEdgeList() builds it straight from an ordered edge list
+///    (the interference builder's path), without per-vertex lists.  Both
+///    give each vertex its neighbors in first-insertion order, so results
+///    are bit-identical whichever way a graph was built.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LAYRA_GRAPH_GRAPH_H
 #define LAYRA_GRAPH_GRAPH_H
 
+#include "support/FlatLists.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace layra {
@@ -48,35 +54,7 @@ using Weight = long long;
 /// mutable adjacency-list storage and the compressed CSR storage.  Iterates
 /// in edge-insertion order in both cases.  Invalidated by addVertex /
 /// addEdge / compress on the owning graph.
-class NeighborRange {
-public:
-  using value_type = VertexId;
-  using const_iterator = const VertexId *;
-
-  NeighborRange() = default;
-  NeighborRange(const VertexId *Begin, const VertexId *End)
-      : Begin_(Begin), End_(End) {}
-
-  const VertexId *begin() const { return Begin_; }
-  const VertexId *end() const { return End_; }
-  std::size_t size() const { return static_cast<std::size_t>(End_ - Begin_); }
-  bool empty() const { return Begin_ == End_; }
-  VertexId operator[](std::size_t I) const {
-    assert(I < size() && "neighbor index out of range");
-    return Begin_[I];
-  }
-
-  friend bool operator==(const NeighborRange &A, const NeighborRange &B) {
-    return A.size() == B.size() && std::equal(A.begin(), A.end(), B.begin());
-  }
-  friend bool operator!=(const NeighborRange &A, const NeighborRange &B) {
-    return !(A == B);
-  }
-
-private:
-  const VertexId *Begin_ = nullptr;
-  const VertexId *End_ = nullptr;
-};
+using NeighborRange = ArrayView<VertexId>;
 
 /// An undirected graph with per-vertex weights and optional vertex names.
 ///
@@ -141,6 +119,22 @@ public:
   /// (AllocationProblem::fromChordalGraph / fromGeneralGraph).
   void compress();
 
+  /// One undirected edge {first, second} of an edge list.
+  using Edge = std::pair<VertexId, VertexId>;
+
+  /// Builds a frozen (compressed) graph with vertex weights \p Weights,
+  /// optional names \p Names (empty, or one per vertex) and the edges of
+  /// \p Edges in list order.  Repeats of an edge, in either orientation,
+  /// after its first occurrence are dropped, detected with the dense bit
+  /// matrix up to kMaxDenseVertices and a hash set beyond it.  The result
+  /// equals the graph that addVertex per weight, addEdge per list entry
+  /// and compress() build, without the per-vertex lists.  \p Edges is
+  /// scratch: it is left holding the distinct edges.
+  /// \pre no self-loops; every endpoint is below Weights.size().
+  static Graph fromEdgeList(std::vector<Weight> Weights,
+                            std::vector<std::string> Names,
+                            std::vector<Edge> &Edges);
+
   /// True once compress() ran.
   bool compressed() const { return Compressed; }
 
@@ -204,7 +198,7 @@ private:
   }
 
   /// Insertion-order adjacency lists; emptied (storage released) by
-  /// compress().
+  /// compress(), never filled by fromEdgeList().
   std::vector<std::vector<VertexId>> Adjacency;
   std::vector<Weight> Weights;
   std::vector<std::string> Names;

@@ -65,8 +65,10 @@ InterferenceInfo layra::buildInterference(const Function &F,
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
   InterferenceInfo Info;
-  for (ValueId V = 0; V < F.numValues(); ++V)
-    Info.G.addVertex(Costs[V], F.valueName(V));
+  // Edges are collected in discovery order and frozen into the CSR in one
+  // counting sort at the end (Graph::fromEdgeList drops repeats), which
+  // gives every vertex the neighbor order incremental addEdge calls would.
+  std::vector<Graph::Edge> &Edges = WS->acquireCleared(WS->Interference.Edges);
 
   // Register classes partition the values: only same-class values compete
   // for registers, so cross-class pairs never interfere and pressure is
@@ -119,7 +121,7 @@ InterferenceInfo layra::buildInterference(const Function &F,
       for (ValueId D : I.Defs)
         for (VertexId X : EntrySet)
           if (X != D && SameClass(D, X))
-            Info.G.addEdge(D, X);
+            Edges.emplace_back(D, X);
     }
     RecordPoint(EntrySet);
 
@@ -134,10 +136,10 @@ InterferenceInfo layra::buildInterference(const Function &F,
       for (ValueId D : Instr.Defs) {
         for (VertexId X : Point)
           if (X != D && SameClass(D, X))
-            Info.G.addEdge(D, X);
+            Edges.emplace_back(D, X);
         for (ValueId D2 : Instr.Defs)
           if (D2 != D && SameClass(D, D2))
-            Info.G.addEdge(D, D2);
+            Edges.emplace_back(D, D2);
         // A dead def still occupies a register at its definition point.
         if (!LiveAfter.test(D))
           Point.push_back(D);
@@ -149,6 +151,11 @@ InterferenceInfo layra::buildInterference(const Function &F,
       Info.MinRegisters = std::max(Info.MinRegisters, Operands);
     });
   }
+  std::vector<std::string> Names(F.numValues());
+  for (ValueId V = 0; V < F.numValues(); ++V)
+    Names[V] = F.valueName(V);
+  Info.G = Graph::fromEdgeList(Costs, std::move(Names), Edges);
+
   if (!MultiClass)
     Info.MaxLiveByClass[0] = Info.MaxLive;
   else

@@ -226,7 +226,7 @@ TEST_P(StepSweep, BoundedLayerRespectsBoundAndGrowsWithIt) {
 
     std::vector<VertexId> Layer = optimalBoundedLayer(P, Mask, W, Step);
     // Every maximal clique gains at most Step vertices.
-    for (const auto &K : P.Cliques.Cliques) {
+    for (const auto &K : P.cliques().Cliques) {
       unsigned Hit = 0;
       for (VertexId V : K)
         Hit += std::count(Layer.begin(), Layer.end(), V) ? 1 : 0;

@@ -126,7 +126,9 @@ TEST(StepLayerTest, EstimateSaturatesOnHugeCliquesInsteadOfOverflowing) {
   std::vector<VertexId> Huge(20000);
   for (VertexId V = 0; V < Huge.size(); ++V)
     Huge[V] = V;
-  P.Cliques.Cliques.push_back(Huge);
+  CliqueCover HugeCover;
+  HugeCover.Cliques.push_back(Huge);
+  P.Cliques = std::make_shared<const CliqueCover>(std::move(HugeCover));
 
   double Estimate = estimateBoundedLayerStates(P, /*Mask=*/{}, /*Bound=*/8);
   EXPECT_EQ(Estimate, 1e18);
@@ -142,8 +144,10 @@ TEST(StepLayerTest, EstimateSaturatesOnHugeCliquesInsteadOfOverflowing) {
   for (VertexId V = 0; V < Mid.size(); ++V)
     Mid[V] = V;
   // C(400, 8) ~ 1.6e16 per clique; 100 cliques push the sum over 1e18.
+  CliqueCover MidCover;
   for (int K = 0; K < 100; ++K)
-    Many.Cliques.Cliques.push_back(Mid);
+    MidCover.Cliques.push_back(Mid);
+  Many.Cliques = std::make_shared<const CliqueCover>(std::move(MidCover));
   EXPECT_EQ(estimateBoundedLayerStates(Many, {}, 8), 1e18);
 
   // A respected mask keeps the same clique affordable.

@@ -133,7 +133,7 @@ TEST(InterferenceTest, MaximalCliquesAppearAmongPointLiveSets) {
                                               Info.PointLiveSets.end());
     CliqueCover Cover =
         maximalCliquesChordal(Info.G, maximumCardinalitySearch(Info.G));
-    for (auto Clique : Cover.Cliques) {
+    for (std::vector<VertexId> Clique : Cover.Cliques) {
       std::sort(Clique.begin(), Clique.end());
       EXPECT_TRUE(PointSets.count(Clique))
           << "round " << Round << ": maximal clique not a live set";

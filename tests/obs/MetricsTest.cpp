@@ -194,7 +194,8 @@ TEST(MetricsRegistryTest, CounterOverflowWrapsWithoutTrapping) {
   CounterId C = R.counter("wrap.counter");
   R.add(C, UINT64_MAX); // One tick short of wrapping.
   R.add(C, 3);          // Modulo 2^64: lands on 2.
-  const uint64_t *V = R.snapshot().counter("wrap.counter");
+  MetricsSnapshot Snap = R.snapshot(); // Outlives the pointer below.
+  const uint64_t *V = Snap.counter("wrap.counter");
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(*V, 2u);
 }
@@ -204,7 +205,8 @@ TEST(MetricsRegistryTest, GaugesKeepLastValue) {
   GaugeId G = R.gauge("test.gauge");
   R.set(G, 1.5);
   R.set(G, -2.25);
-  const double *V = R.snapshot().gauge("test.gauge");
+  MetricsSnapshot Snap = R.snapshot(); // Outlives the pointer below.
+  const double *V = Snap.gauge("test.gauge");
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(*V, -2.25);
 }

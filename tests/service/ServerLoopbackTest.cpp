@@ -555,6 +555,87 @@ TEST(ServerLoopbackTest, SubmitIrDeltaWarmStartMatchesFreshSolveByteForByte) {
   EXPECT_NE(Payload.find("\"touch_failures\""), std::string::npos);
 }
 
+TEST(ServerLoopbackTest, DeltaFromGraphAllocatorBaseServesIntervalAllocator) {
+  // Base keys hash the IR text only, not the allocator.  A base captured by
+  // a graph allocator (bfpl: its round-0 problem carries no live
+  // intervals) must still serve a linear-scan edit whose recomputed costs
+  // are identical -- the path that reuses the base problem as is.  The
+  // answer must equal a fresh solve, and the server must stay up.
+  const char *BaseIr = "function jitted {\n"
+                       "entry:  ; depth=0 freq=1\n"
+                       "  %a = op\n"
+                       "  %b = op\n"
+                       "  %c = copy %a\n"
+                       "  br %b\n"
+                       "  ; succs=loop\n"
+                       "loop:  ; depth=1 freq=10 preds=entry,loop\n"
+                       "  %p = phi %c, %q\n"
+                       "  %q = op %p, %b\n"
+                       "  br %q\n"
+                       "  ; succs=loop,exit\n"
+                       "exit:  ; depth=0 freq=1 preds=loop\n"
+                       "  ret %p, %q, %a\n"
+                       "}\n";
+  // Opcode kind only: same structure, same spill costs.
+  std::string EditedIr = BaseIr;
+  size_t Copy = EditedIr.find("copy %a");
+  ASSERT_NE(Copy, std::string::npos);
+  EditedIr.replace(Copy, 4, "op");
+
+  TempDir Dir;
+  ServerOptions Opt;
+  Opt.UnixPath = Dir.socketPath("delta-ls.sock");
+  Opt.Threads = kServerThreads;
+  Opt.Shards = 2;
+  Server S(Opt);
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+  Client Conn = Client::connectToUnix(Opt.UnixPath, &Error);
+  ASSERT_TRUE(Conn.valid()) << Error;
+
+  ServiceRequest Req;
+  Req.K = ServiceRequest::Kind::SubmitIr;
+  Req.IrText = BaseIr;
+  Req.Regs = {2};
+  Req.Details = true;
+  Req.Options.AllocatorName = "bfpl";
+  std::string Response;
+  ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
+      << Error;
+  ASSERT_FALSE(Client::isErrorResponse(Response)) << Response;
+  ASSERT_EQ(S.stats().DeltaBases, 1u);
+
+  Req.IrText = EditedIr;
+  Req.Options.AllocatorName = "ls";
+  Req.Base = formatBaseKey(submitIrBaseKey(BaseIr));
+  std::string DeltaResponse;
+  ASSERT_TRUE(
+      Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
+      << Error;
+  EXPECT_FALSE(Client::isErrorResponse(DeltaResponse)) << DeltaResponse;
+  EXPECT_EQ(S.stats().DeltaHits, 1u);
+  EXPECT_EQ(S.stats().DeltaFallbacks, 0u);
+  std::string Payload;
+  EXPECT_TRUE(Conn.stats(Payload, &Error)) << Error;
+
+  ServerOptions FreshOpt;
+  FreshOpt.UnixPath = Dir.socketPath("delta-ls-fresh.sock");
+  FreshOpt.Threads = kServerThreads;
+  FreshOpt.Shards = 2;
+  Server Fresh(FreshOpt);
+  ASSERT_TRUE(Fresh.start(&Error)) << Error;
+  Client FreshConn = Client::connectToUnix(FreshOpt.UnixPath, &Error);
+  ASSERT_TRUE(FreshConn.valid()) << Error;
+  ServiceRequest FreshReq = Req;
+  FreshReq.Base.clear();
+  FreshReq.BaseKey = 0;
+  std::string FreshResponse;
+  ASSERT_TRUE(FreshConn.call(Client::makeSubmitIrRequest(FreshReq),
+                             FreshResponse, &Error))
+      << Error;
+  EXPECT_EQ(DeltaResponse, FreshResponse);
+}
+
 TEST(ServerLoopbackTest, MalformedTrafficGetsErrorsWithoutKillingServer) {
   TempDir Dir;
   ServerOptions Opt;
