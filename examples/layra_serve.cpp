@@ -347,12 +347,12 @@ int main(int Argc, char **Argv) {
                 Opt.Shards ? Opt.Shards : 1, S.stats().Threads,
                 Opt.CacheCapacity, Opt.QueueCapacity);
     if (!Opt.DiskCacheDir.empty()) {
-      ServerStats Stats = S.stats();
+      DiskCacheStats Disk = S.stats().Disk.value_or(DiskCacheStats());
       std::printf("layra-serve: disk cache at %s (%llu entries, %llu bytes"
                   "%s)\n",
                   Opt.DiskCacheDir.c_str(),
-                  static_cast<unsigned long long>(Stats.DiskEntries),
-                  static_cast<unsigned long long>(Stats.DiskBytes),
+                  static_cast<unsigned long long>(Disk.Entries),
+                  static_cast<unsigned long long>(Disk.Bytes),
                   Opt.DiskCacheCapBytes ? ", capped" : "");
     }
     std::fflush(stdout);
@@ -387,19 +387,20 @@ int main(int Argc, char **Argv) {
     dumpEventLog(EventLogPath, Quiet, "drain");
   if (!Quiet) {
     ServerStats Stats = S.stats();
+    DriverCacheCounters Cache = Stats.totals().Cache;
     std::fprintf(stderr,
                  "layra-serve: drained after %.0f ms: %llu requests "
                  "(%llu allocate, %llu submit_ir, %llu failed), "
                  "cache %llu/%llu entries, %llu hits, %llu evictions\n",
                  Stats.UptimeMs,
-                 static_cast<unsigned long long>(Stats.RequestsTotal),
+                 static_cast<unsigned long long>(Stats.requestsTotal()),
                  static_cast<unsigned long long>(Stats.RequestsAllocate),
                  static_cast<unsigned long long>(Stats.RequestsSubmitIr),
                  static_cast<unsigned long long>(Stats.RequestsFailed),
-                 static_cast<unsigned long long>(Stats.CacheEntries),
-                 static_cast<unsigned long long>(Stats.CacheCapacity),
-                 static_cast<unsigned long long>(Stats.CacheHits),
-                 static_cast<unsigned long long>(Stats.CacheEvictions));
+                 static_cast<unsigned long long>(Cache.Entries),
+                 static_cast<unsigned long long>(Cache.Capacity),
+                 static_cast<unsigned long long>(Cache.Hits),
+                 static_cast<unsigned long long>(Cache.Evictions));
   }
   return 0;
 }

@@ -19,10 +19,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -278,25 +280,60 @@ struct Shard {
   bool Drain = false;         ///< QMutex.
   std::thread Worker;
 
-  /// Published statistics; the worker is the only writer.
+  /// Published statistics; the worker is the only writer.  Queue is
+  /// filled from QMutex state at snapshot time.
   std::mutex StatMutex;
-  uint64_t Requests = 0;       ///< StatMutex.
-  double BusyMs = 0;           ///< StatMutex.
-  DriverCacheCounters Cache;   ///< StatMutex.
-  DriverDeltaCounters Delta;   ///< StatMutex.
+  ShardStats Stats; ///< StatMutex.
+
+  /// Republishes the driver's cache and delta counters.
+  void publishDriverCounters() {
+    std::lock_guard<std::mutex> L(StatMutex);
+    Stats.Cache = Driver.pipelineCacheCounters();
+    Stats.Delta = Driver.deltaCounters();
+  }
 };
 
-} // namespace
+/// One JSON builder per stats group, shared by the top level and every
+/// shard.
+JsonValue cacheJson(const DriverCacheCounters &C) {
+  JsonValue J = JsonValue::object();
+  J.set("entries", C.Entries);
+  J.set("capacity", C.Capacity);
+  J.set("hits", C.Hits);
+  J.set("misses", C.Misses);
+  J.set("evictions", C.Evictions);
+  double Classified = static_cast<double>(C.Hits + C.Misses);
+  J.set("hit_rate", Classified > 0 ? double(C.Hits) / Classified : 0.0);
+  return J;
+}
 
-std::string layra::makeStatsResponse(const ServerStats &S,
-                                     const std::string &TraceId) {
+JsonValue queueJson(const QueueStats &Q) {
+  JsonValue J = JsonValue::object();
+  J.set("depth", Q.Depth);
+  J.set("max_depth", Q.MaxDepth);
+  J.set("capacity", Q.Capacity);
+  return J;
+}
+
+JsonValue deltaJson(const DriverDeltaCounters &D) {
+  JsonValue J = JsonValue::object();
+  J.set("hits", D.Hits);
+  J.set("fallbacks", D.Fallbacks);
+  J.set("bases", D.Bases);
+  return J;
+}
+
+/// The v4 stats document.  Later schema versions only ever append
+/// members (insertion-ordered object), so a consumer of an older version
+/// reading by name sees exactly what it always saw.
+JsonValue statsDocument(const ServerStats &S) {
   JsonValue Doc = JsonValue::object();
   Doc.set("schema", kStatsSchema);
   Doc.set("protocol", kServeProtocolVersion);
   Doc.set("uptime_ms", S.UptimeMs);
   Doc.set("threads", S.Threads);
   JsonValue Requests = JsonValue::object();
-  Requests.set("total", S.RequestsTotal);
+  Requests.set("total", S.requestsTotal());
   Requests.set("allocate", S.RequestsAllocate);
   Requests.set("submit_ir", S.RequestsSubmitIr);
   Requests.set("stats", S.RequestsStats);
@@ -309,36 +346,24 @@ std::string layra::makeStatsResponse(const ServerStats &S,
   Connections.set("rejected", S.ConnectionsRejected);
   Connections.set("active", S.ConnectionsActive);
   Doc.set("connections", std::move(Connections));
-  JsonValue Cache = JsonValue::object();
-  Cache.set("entries", S.CacheEntries);
-  Cache.set("capacity", S.CacheCapacity);
-  Cache.set("hits", S.CacheHits);
-  Cache.set("misses", S.CacheMisses);
-  Cache.set("evictions", S.CacheEvictions);
-  double Classified = static_cast<double>(S.CacheHits + S.CacheMisses);
-  Cache.set("hit_rate", Classified > 0
-                            ? static_cast<double>(S.CacheHits) / Classified
-                            : 0.0);
-  Doc.set("cache", std::move(Cache));
-  JsonValue Queue = JsonValue::object();
-  Queue.set("depth", S.QueueDepth);
-  Queue.set("max_depth", S.QueueMaxDepth);
-  Queue.set("capacity", S.QueueCapacity);
-  Doc.set("queue", std::move(Queue));
+  const ShardStats All = S.totals();
+  Doc.set("cache", cacheJson(All.Cache));
+  Doc.set("queue", queueJson(All.Queue));
+  const HistogramSnapshot &Service = S.ServiceLatency;
   JsonValue Latency = JsonValue::object();
-  Latency.set("service_ms_p50", S.ServiceMsP50);
-  Latency.set("service_ms_p95", S.ServiceMsP95);
-  Latency.set("service_ms_p99", S.ServiceMsP99);
-  Latency.set("samples", S.ServiceSamples);
+  Latency.set("service_ms_p50", Service.percentile(0.50));
+  Latency.set("service_ms_p95", Service.percentile(0.95));
+  Latency.set("service_ms_p99", Service.percentile(0.99));
+  Latency.set("samples", Service.Count);
   // Cumulative histogram in le/count form (Prometheus-style): each entry
   // says "this many samples took at most le_ms".  Only occupied buckets are
   // serialized, so the array stays small however wide the geometry is.
   JsonValue Buckets = JsonValue::array();
   uint64_t Cumulative = 0;
-  for (size_t I = 0; I < S.ServiceLatency.Buckets.size(); ++I) {
-    if (S.ServiceLatency.Buckets[I] == 0)
+  for (size_t I = 0; I < Service.Buckets.size(); ++I) {
+    if (Service.Buckets[I] == 0)
       continue;
-    Cumulative += S.ServiceLatency.Buckets[I];
+    Cumulative += Service.Buckets[I];
     JsonValue Bucket = JsonValue::object();
     Bucket.set("le_ms", hist::ticksToMs(
                             double(hist::bucketHighTicks(unsigned(I)))));
@@ -347,60 +372,102 @@ std::string layra::makeStatsResponse(const ServerStats &S,
   }
   Latency.set("histogram", std::move(Buckets));
   Doc.set("latency", std::move(Latency));
+  // Utilization saturates at 1.0 per the v2 contract even though N shard
+  // workers can be busy at once; the per-shard busy_ms carry the rest.
   JsonValue Dispatcher = JsonValue::object();
-  Dispatcher.set("busy_ms", S.DispatcherBusyMs);
-  Dispatcher.set("utilization", S.DispatcherUtilization);
+  double BusyMs = S.InlineBusyMs; // Summed in the order the v2 code did.
+  for (const ShardStats &E : S.PerShard)
+    BusyMs += E.BusyMs;
+  Dispatcher.set("busy_ms", BusyMs);
+  Dispatcher.set("utilization",
+                 S.UptimeMs > 0 ? std::min(1.0, BusyMs / S.UptimeMs) : 0.0);
   Doc.set("dispatcher", std::move(Dispatcher));
-  // v3 additions land after every v2 member (insertion-ordered object), so
-  // a v2 consumer reading by name sees exactly what it always saw.
+  // v3: shards and disk_cache.
   JsonValue ShardsArr = JsonValue::array();
   for (size_t I = 0; I < S.PerShard.size(); ++I) {
     const ShardStats &E = S.PerShard[I];
     JsonValue Sh = JsonValue::object();
     Sh.set("shard", static_cast<uint64_t>(I));
     Sh.set("requests", E.Requests);
-    JsonValue SC = JsonValue::object();
-    SC.set("entries", E.CacheEntries);
-    SC.set("capacity", E.CacheCapacity);
-    SC.set("hits", E.CacheHits);
-    SC.set("misses", E.CacheMisses);
-    SC.set("evictions", E.CacheEvictions);
-    double SCl = static_cast<double>(E.CacheHits + E.CacheMisses);
-    SC.set("hit_rate",
-           SCl > 0 ? static_cast<double>(E.CacheHits) / SCl : 0.0);
-    Sh.set("cache", std::move(SC));
-    JsonValue SQ = JsonValue::object();
-    SQ.set("depth", E.QueueDepth);
-    SQ.set("max_depth", E.QueueMaxDepth);
-    SQ.set("capacity", E.QueueCapacity);
-    Sh.set("queue", std::move(SQ));
+    Sh.set("cache", cacheJson(E.Cache));
+    Sh.set("queue", queueJson(E.Queue));
     Sh.set("busy_ms", E.BusyMs);
-    JsonValue SD = JsonValue::object();
-    SD.set("hits", E.DeltaHits);
-    SD.set("fallbacks", E.DeltaFallbacks);
-    SD.set("bases", E.DeltaBases);
-    Sh.set("delta", std::move(SD));
+    Sh.set("delta", deltaJson(E.Delta));
     ShardsArr.push(std::move(Sh));
   }
   Doc.set("shards", std::move(ShardsArr));
+  DiskCacheStats D = S.Disk.value_or(DiskCacheStats());
   JsonValue Disk = JsonValue::object();
-  Disk.set("enabled", S.DiskCacheEnabled);
-  Disk.set("entries", S.DiskEntries);
-  Disk.set("bytes", S.DiskBytes);
-  Disk.set("hits", S.DiskHits);
-  Disk.set("misses", S.DiskMisses);
-  Disk.set("writes", S.DiskWrites);
-  Disk.set("evictions", S.DiskEvictions);
-  // v4: touch_failures lands after every v3 disk_cache member, and the
-  // delta object after the whole v3 document, so a v3 consumer reading by
-  // name sees exactly what it always saw.
-  Disk.set("touch_failures", S.DiskTouchFailures);
+  Disk.set("enabled", S.Disk.has_value());
+  Disk.set("entries", D.Entries);
+  Disk.set("bytes", D.Bytes);
+  Disk.set("hits", D.Hits);
+  Disk.set("misses", D.Misses);
+  Disk.set("writes", D.Writes);
+  Disk.set("evictions", D.Evictions);
+  Disk.set("touch_failures", D.TouchFailures); // v4.
   Doc.set("disk_cache", std::move(Disk));
-  JsonValue DeltaDoc = JsonValue::object();
-  DeltaDoc.set("hits", S.DeltaHits);
-  DeltaDoc.set("fallbacks", S.DeltaFallbacks);
-  DeltaDoc.set("bases", S.DeltaBases);
-  Doc.set("delta", std::move(DeltaDoc));
+  Doc.set("delta", deltaJson(All.Delta)); // v4.
+  return Doc;
+}
+
+/// Adds the stats at \p Paths (dot-separated, relative to \p Obj) to
+/// \p Snap as counters or gauges named \p Prefix + path, so a stat's name
+/// and value are written once, in statsDocument.
+void exportStats(MetricsSnapshot &Snap, const JsonValue &Obj,
+                 const std::string &Prefix,
+                 std::initializer_list<const char *> Counters,
+                 std::initializer_list<const char *> Gauges) {
+  auto Lookup = [&Obj](std::string_view Path) -> const JsonValue & {
+    const JsonValue *V = &Obj;
+    for (size_t Dot; (Dot = Path.find('.')) != Path.npos;
+         Path.remove_prefix(Dot + 1))
+      V = V->find(std::string(Path.substr(0, Dot)));
+    V = V->find(std::string(Path));
+    assert(V && "exported stat missing from the stats document");
+    return *V;
+  };
+  for (const char *P : Counters)
+    Snap.Counters.push_back({Prefix + P, uint64_t(Lookup(P).intValue())});
+  for (const char *P : Gauges) {
+    const JsonValue &V = Lookup(P);
+    Snap.Gauges.push_back(
+        {Prefix + P,
+         V.isInt() ? double(uint64_t(V.intValue())) : V.numberValue()});
+  }
+}
+
+} // namespace
+
+uint64_t ServerStats::requestsTotal() const {
+  return RequestsAllocate + RequestsSubmitIr + RequestsStats + RequestsPing +
+         RequestsFailed + RequestsRejected;
+}
+
+ShardStats ServerStats::totals() const {
+  ShardStats Sum;
+  for (const ShardStats &E : PerShard) {
+    Sum.Requests += E.Requests;
+    Sum.BusyMs += E.BusyMs;
+    Sum.Cache.Hits += E.Cache.Hits;
+    Sum.Cache.Misses += E.Cache.Misses;
+    Sum.Cache.Evictions += E.Cache.Evictions;
+    Sum.Cache.Entries += E.Cache.Entries;
+    Sum.Cache.Capacity += E.Cache.Capacity;
+    Sum.Delta.Hits += E.Delta.Hits;
+    Sum.Delta.Fallbacks += E.Delta.Fallbacks;
+    Sum.Delta.Bases += E.Delta.Bases;
+    Sum.Delta.Capacity += E.Delta.Capacity;
+    Sum.Queue.Depth += E.Queue.Depth;
+    Sum.Queue.MaxDepth = std::max(Sum.Queue.MaxDepth, E.Queue.MaxDepth);
+    Sum.Queue.Capacity += E.Queue.Capacity;
+  }
+  return Sum;
+}
+
+std::string layra::makeStatsResponse(const ServerStats &S,
+                                     const std::string &TraceId) {
+  JsonValue Doc = statsDocument(S);
   // The trace echo, like everywhere else, lands after every existing
   // member so untraced stats responses keep their exact bytes.
   if (!TraceId.empty()) {
@@ -414,58 +481,28 @@ std::string layra::makeStatsResponse(const ServerStats &S,
 std::string layra::makeMetricsExposition(const ServerStats &S) {
   // Server-level stats rendered through the same exposition machinery as
   // the registry metrics, so one scrape sees one consistent format.
+  JsonValue Doc = statsDocument(S);
   MetricsSnapshot Snap;
-  Snap.Counters = {
-      {"layra.serve.requests.total", S.RequestsTotal},
-      {"layra.serve.requests.allocate", S.RequestsAllocate},
-      {"layra.serve.requests.submit_ir", S.RequestsSubmitIr},
-      {"layra.serve.requests.stats", S.RequestsStats},
-      {"layra.serve.requests.ping", S.RequestsPing},
-      {"layra.serve.requests.failed", S.RequestsFailed},
-      {"layra.serve.requests.rejected", S.RequestsRejected},
-      {"layra.serve.connections.accepted", S.ConnectionsAccepted},
-      {"layra.serve.connections.rejected", S.ConnectionsRejected},
-      {"layra.serve.cache.hits", S.CacheHits},
-      {"layra.serve.cache.misses", S.CacheMisses},
-      {"layra.serve.cache.evictions", S.CacheEvictions},
-      {"layra.serve.delta.hits", S.DeltaHits},
-      {"layra.serve.delta.fallbacks", S.DeltaFallbacks},
-  };
-  double Classified = double(S.CacheHits + S.CacheMisses);
-  Snap.Gauges = {
-      {"layra.serve.uptime_ms", S.UptimeMs},
-      {"layra.serve.threads", double(S.Threads)},
-      {"layra.serve.connections.active", double(S.ConnectionsActive)},
-      {"layra.serve.cache.entries", double(S.CacheEntries)},
-      {"layra.serve.cache.capacity", double(S.CacheCapacity)},
-      {"layra.serve.cache.hit_rate",
-       Classified > 0 ? double(S.CacheHits) / Classified : 0.0},
-      {"layra.serve.queue.depth", double(S.QueueDepth)},
-      {"layra.serve.queue.max_depth", double(S.QueueMaxDepth)},
-      {"layra.serve.queue.capacity", double(S.QueueCapacity)},
-      {"layra.serve.dispatcher.busy_ms", S.DispatcherBusyMs},
-      {"layra.serve.dispatcher.utilization", S.DispatcherUtilization},
-      {"layra.serve.delta.bases", double(S.DeltaBases)},
-  };
-  for (size_t I = 0; I < S.PerShard.size(); ++I) {
-    const ShardStats &E = S.PerShard[I];
-    std::string P = "layra.serve.shard." + std::to_string(I);
-    Snap.Counters.push_back({P + ".requests", E.Requests});
-    Snap.Counters.push_back({P + ".cache.hits", E.CacheHits});
-    Snap.Counters.push_back({P + ".cache.misses", E.CacheMisses});
-    Snap.Gauges.push_back({P + ".queue.depth", double(E.QueueDepth)});
-    Snap.Gauges.push_back({P + ".busy_ms", E.BusyMs});
-  }
-  if (S.DiskCacheEnabled) {
-    Snap.Counters.push_back({"layra.serve.disk.hits", S.DiskHits});
-    Snap.Counters.push_back({"layra.serve.disk.misses", S.DiskMisses});
-    Snap.Counters.push_back({"layra.serve.disk.writes", S.DiskWrites});
-    Snap.Counters.push_back({"layra.serve.disk.evictions", S.DiskEvictions});
-    Snap.Counters.push_back(
-        {"layra.serve.disk.touch_failures", S.DiskTouchFailures});
-    Snap.Gauges.push_back({"layra.serve.disk.entries", double(S.DiskEntries)});
-    Snap.Gauges.push_back({"layra.serve.disk.bytes", double(S.DiskBytes)});
-  }
+  exportStats(Snap, Doc, "layra.serve.",
+              {"requests.total", "requests.allocate", "requests.submit_ir",
+               "requests.stats", "requests.ping", "requests.failed",
+               "requests.rejected", "connections.accepted",
+               "connections.rejected", "cache.hits", "cache.misses",
+               "cache.evictions", "delta.hits", "delta.fallbacks"},
+              {"uptime_ms", "threads", "connections.active", "cache.entries",
+               "cache.capacity", "cache.hit_rate", "queue.depth",
+               "queue.max_depth", "queue.capacity", "dispatcher.busy_ms",
+               "dispatcher.utilization", "delta.bases"});
+  const JsonValue &Shards = *Doc.find("shards");
+  for (size_t I = 0; I < Shards.size(); ++I)
+    exportStats(Snap, Shards.at(I),
+                "layra.serve.shard." + std::to_string(I) + ".",
+                {"requests", "cache.hits", "cache.misses"},
+                {"queue.depth", "busy_ms"});
+  if (S.Disk)
+    exportStats(Snap, *Doc.find("disk_cache"), "layra.serve.disk.",
+                {"hits", "misses", "writes", "evictions", "touch_failures"},
+                {"entries", "bytes"});
   if (S.ServiceLatency.Count > 0) {
     HistogramSnapshot Service = S.ServiceLatency;
     Service.Name = "layra.serve.service_ms";
@@ -502,8 +539,7 @@ struct Server::Impl {
       Sh->Driver.setBaseRegistryCapacity(PerShardBases);
       if (Disk && Disk->valid())
         Sh->Driver.setOutcomeStore(Disk.get());
-      Sh->Cache = Sh->Driver.pipelineCacheCounters();
-      Sh->Delta = Sh->Driver.deltaCounters();
+      Sh->publishDriverCounters();
       ShardList.push_back(std::move(Sh));
     }
   }
@@ -544,10 +580,9 @@ struct Server::Impl {
 
   //--- Statistics. --------------------------------------------------------
   mutable std::mutex StatsMutex;
-  ServerStats Counters; ///< Aggregate fields are filled on snapshot.
-  /// Wall time the IO thread spent executing inline requests (ping/stats);
-  /// shard busy time lives in each Shard (StatsMutex).
-  double InlineBusyMs = 0;
+  /// Request/connection counters and inline busy time; the snapshot adds
+  /// what other owners hold (shards, disk cache, histogram, clock).
+  ServerStats Counters; ///< StatsMutex.
   std::atomic<uint64_t> ActiveConns{0};
   /// Lifetime service-time histogram (log-linear buckets, obs/Metrics.h):
   /// wait-free record() from the IO thread and every shard worker, same
@@ -603,6 +638,11 @@ struct Server::Impl {
   void emitSlowRequest(const obs::RequestTrace &Trace, double TotalMs,
                        ServiceRequest::Kind K);
   ServerStats snapshotStats();
+  /// Bumps one of the request/connection counters the IO loop owns.
+  void count(uint64_t ServerStats::*Counter) {
+    std::lock_guard<std::mutex> L(StatsMutex);
+    ++(Counters.*Counter);
+  }
 };
 
 bool Server::Impl::start(std::string *Error) {
@@ -819,10 +859,7 @@ void Server::Impl::acceptReady(SocketFd &Listener) {
     C->Id = NextConnId++;
     C->LastWriteProgress = std::chrono::steady_clock::now();
     if (ActiveConns.load() >= Opt.MaxConnections) {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.ConnectionsRejected;
-      }
+      count(&ServerStats::ConnectionsRejected);
       // The rejected connection rides the normal flush machinery: the
       // error reply goes out as the loop gets to it, then the socket
       // closes.  Never admitted, never counted active.
@@ -848,10 +885,7 @@ void Server::Impl::acceptReady(SocketFd &Listener) {
       }
       continue;
     }
-    {
-      std::lock_guard<std::mutex> L(StatsMutex);
-      ++Counters.ConnectionsAccepted;
-    }
+    count(&ServerStats::ConnectionsAccepted);
     C->Admitted = true;
     ++ActiveConns;
     IoConn &Ref = *C;
@@ -1022,27 +1056,16 @@ void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
     Events.record(obs::EventKind::RequestStart, 0, Trace.id().c_str(),
                   requestKindName(Req.K));
     const std::string EchoId = Trace.Echo ? Trace.id() : std::string();
-    std::string Response;
-    if (Req.K == ServiceRequest::Kind::Ping) {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestsTotal;
-        ++Counters.RequestsPing;
-      }
-      Response = makePongResponse(EchoId);
-    } else {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestsTotal;
-        ++Counters.RequestsStats;
-      }
-      Response = makeStatsResponse(snapshotStats(), EchoId);
-    }
+    const bool IsPing = Req.K == ServiceRequest::Kind::Ping;
+    count(IsPing ? &ServerStats::RequestsPing : &ServerStats::RequestsStats);
+    std::string Response = IsPing
+                               ? makePongResponse(EchoId)
+                               : makeStatsResponse(snapshotStats(), EchoId);
     double ServiceMs = msSince(Begin);
     ServiceHist.record(ServiceMs);
     {
       std::lock_guard<std::mutex> L(StatsMutex);
-      InlineBusyMs += ServiceMs;
+      Counters.InlineBusyMs += ServiceMs;
     }
     if (WantTrace)
       Trace.addSpan("dispatch", Trace.DispatchStartMs,
@@ -1087,11 +1110,7 @@ void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
     // Admission control: a full shard queue turns into an immediate,
     // clean rejection the client can retry on -- never unbounded
     // buffering, never a stalled event loop.
-    {
-      std::lock_guard<std::mutex> L(StatsMutex);
-      ++Counters.RequestsTotal;
-      ++Counters.RequestsRejected;
-    }
+    count(&ServerStats::RequestsRejected);
     Events.record(obs::EventKind::Reject, double(Opt.QueueCapacity),
                   Trace.id().c_str(), "shard queue full");
     Completion Comp;
@@ -1283,8 +1302,8 @@ void Server::Impl::shardLoop(Shard &Sh) {
     ServiceHist.record(ServiceMs);
     {
       std::lock_guard<std::mutex> L(Sh.StatMutex);
-      Sh.BusyMs += ServiceMs;
-      ++Sh.Requests;
+      Sh.Stats.BusyMs += ServiceMs;
+      ++Sh.Stats.Requests;
     }
     // Handlers close the dispatch span once they know where dispatch work
     // ends (driver start).  Paths that never got there -- validation
@@ -1322,11 +1341,7 @@ void Server::Impl::emitSlowRequest(const obs::RequestTrace &Trace,
 
 std::string Server::Impl::failRequest(const std::string &Message,
                                       const obs::RequestTrace *Trace) {
-  {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestsTotal;
-    ++Counters.RequestsFailed;
-  }
+  count(&ServerStats::RequestsFailed);
   obs::EventLog::global().record(obs::EventKind::Reject, 0,
                                  Trace ? Trace->id().c_str() : nullptr,
                                  Message.c_str());
@@ -1392,16 +1407,8 @@ std::string Server::Impl::runJobs(Shard &Sh,
   if (Trace && Trace->Echo)
     Doc.set("trace", Trace->toJson());
   std::string Response = Doc.dump(2) + "\n";
-  {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestsTotal;
-    ++(Counters.*Counter);
-  }
-  {
-    std::lock_guard<std::mutex> L(Sh.StatMutex);
-    Sh.Cache = Sh.Driver.pipelineCacheCounters();
-    Sh.Delta = Sh.Driver.deltaCounters();
-  }
+  count(Counter);
+  Sh.publishDriverCounters();
   return Response;
 }
 
@@ -1512,78 +1519,32 @@ std::string Server::Impl::handleSubmitIr(Shard &Sh,
 
 ServerStats Server::Impl::snapshotStats() {
   // The histogram is wait-free concurrent state; read it before taking
-  // StatsMutex so a slow percentile walk never extends the lock hold.
+  // StatsMutex so a slow bucket walk never extends the lock hold.
   HistogramSnapshot Latency = ServiceHist.snapshot();
-  Latency.Name = "layra.serve.service_ms";
   ServerStats S;
-  double BusyMs = 0;
   {
     std::lock_guard<std::mutex> L(StatsMutex);
     S = Counters;
-    BusyMs = InlineBusyMs;
   }
+  S.ServiceLatency = std::move(Latency);
   S.UptimeMs = msSince(StartTime);
+  S.ConnectionsActive = ActiveConns.load();
   S.PerShard.reserve(ShardList.size());
   for (const auto &ShPtr : ShardList) {
     Shard &Sh = *ShPtr;
     ShardStats E;
-    DriverCacheCounters CC;
-    DriverDeltaCounters DC;
     {
       std::lock_guard<std::mutex> L(Sh.StatMutex);
-      E.Requests = Sh.Requests;
-      E.BusyMs = Sh.BusyMs;
-      CC = Sh.Cache;
-      DC = Sh.Delta;
+      E = Sh.Stats;
     }
     {
       std::lock_guard<std::mutex> L(Sh.QMutex);
-      E.QueueDepth = Sh.Queue.size();
-      E.QueueMaxDepth = Sh.QueueMaxDepth;
+      E.Queue = {Sh.Queue.size(), Sh.QueueMaxDepth, Opt.QueueCapacity};
     }
-    E.QueueCapacity = Opt.QueueCapacity;
-    E.CacheEntries = CC.Entries;
-    E.CacheCapacity = CC.Capacity;
-    E.CacheHits = CC.Hits;
-    E.CacheMisses = CC.Misses;
-    E.CacheEvictions = CC.Evictions;
-    E.DeltaHits = DC.Hits;
-    E.DeltaFallbacks = DC.Fallbacks;
-    E.DeltaBases = DC.Bases;
-    S.DeltaHits += E.DeltaHits;
-    S.DeltaFallbacks += E.DeltaFallbacks;
-    S.DeltaBases += E.DeltaBases;
-    S.CacheEntries += E.CacheEntries;
-    S.CacheCapacity += E.CacheCapacity;
-    S.CacheHits += E.CacheHits;
-    S.CacheMisses += E.CacheMisses;
-    S.CacheEvictions += E.CacheEvictions;
-    S.QueueDepth += E.QueueDepth;
-    S.QueueMaxDepth = std::max(S.QueueMaxDepth, E.QueueMaxDepth);
-    BusyMs += E.BusyMs;
     S.PerShard.push_back(std::move(E));
   }
-  S.QueueCapacity = uint64_t(Opt.QueueCapacity) * NumShards;
-  S.DispatcherBusyMs = BusyMs;
-  S.DispatcherUtilization =
-      S.UptimeMs > 0 ? std::min(1.0, BusyMs / S.UptimeMs) : 0.0;
-  S.ConnectionsActive = ActiveConns.load();
-  if (Disk && Disk->valid()) {
-    S.DiskCacheEnabled = true;
-    DiskCacheStats D = Disk->stats();
-    S.DiskEntries = D.Entries;
-    S.DiskBytes = D.Bytes;
-    S.DiskHits = D.Hits;
-    S.DiskMisses = D.Misses;
-    S.DiskWrites = D.Writes;
-    S.DiskEvictions = D.Evictions;
-    S.DiskTouchFailures = D.TouchFailures;
-  }
-  S.ServiceSamples = Latency.Count;
-  S.ServiceMsP50 = Latency.percentile(0.50);
-  S.ServiceMsP95 = Latency.percentile(0.95);
-  S.ServiceMsP99 = Latency.percentile(0.99);
-  S.ServiceLatency = std::move(Latency);
+  if (Disk && Disk->valid())
+    S.Disk = Disk->stats();
   return S;
 }
 

@@ -52,12 +52,15 @@
 #ifndef LAYRA_SERVICE_SERVER_H
 #define LAYRA_SERVICE_SERVER_H
 
+#include "driver/BatchDriver.h"
 #include "obs/Metrics.h"
+#include "service/DiskCache.h"
 #include "service/Protocol.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,33 +135,29 @@ struct ServerOptions {
   size_t BaseRegistryCapacity = 256;
 };
 
-/// Per-shard slice of a statistics snapshot (the stats-v3 `shards` array).
+/// Shard-queue occupancy: current depth, the highest depth reached, and
+/// the slot count.
+struct QueueStats {
+  uint64_t Depth = 0;
+  uint64_t MaxDepth = 0;
+  uint64_t Capacity = 0;
+};
+
+/// Per-shard slice of a statistics snapshot (the stats `shards` array).
 struct ShardStats {
   uint64_t Requests = 0; ///< allocate/submit_ir requests this shard served.
-  /// This shard's pipeline-task cache counters (lifetime, from its
-  /// private driver).
-  uint64_t CacheEntries = 0;
-  uint64_t CacheCapacity = 0;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0;
-  uint64_t QueueDepth = 0;
-  uint64_t QueueMaxDepth = 0;
-  uint64_t QueueCapacity = 0;
-  double BusyMs = 0; ///< Wall time this shard's worker spent executing.
-  /// Delta (warm-start) counters from this shard's private driver:
-  /// resubmissions solved against a retained base, resubmissions that
-  /// asked for a base but fell back to a full solve, and bases currently
-  /// retained.
-  uint64_t DeltaHits = 0;
-  uint64_t DeltaFallbacks = 0;
-  uint64_t DeltaBases = 0;
+  double BusyMs = 0;     ///< Wall time this shard's worker spent executing.
+  /// Lifetime pipeline-task cache and delta (warm-start) counters of this
+  /// shard's private driver, as the driver reports them.
+  DriverCacheCounters Cache;
+  DriverDeltaCounters Delta;
+  QueueStats Queue;
 };
 
 /// A point-in-time statistics snapshot (the `stats` request serializes
-/// exactly this).
+/// exactly this).  Each value is held once, as its owner reports it;
+/// totals, rates and percentiles are derived when read.
 struct ServerStats {
-  uint64_t RequestsTotal = 0;
   uint64_t RequestsAllocate = 0;
   uint64_t RequestsSubmitIr = 0;
   uint64_t RequestsStats = 0;
@@ -168,54 +167,23 @@ struct ServerStats {
   uint64_t ConnectionsAccepted = 0;
   uint64_t ConnectionsRejected = 0;
   uint64_t ConnectionsActive = 0;
-  /// Pipeline-task cache counters summed over every shard's private
-  /// driver (lifetime).
-  uint64_t CacheEntries = 0;
-  uint64_t CacheCapacity = 0;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0;
-  /// Shard-queue occupancy: depth summed over shards, max_depth the
-  /// highest any single shard queue reached, capacity the total slots.
-  uint64_t QueueDepth = 0;
-  uint64_t QueueMaxDepth = 0;
-  uint64_t QueueCapacity = 0;
   unsigned Threads = 0;
   double UptimeMs = 0;
-  /// Service-time (dequeue to response-built) percentiles over the whole
-  /// lifetime histogram; 0 when no samples yet.
-  double ServiceMsP50 = 0;
-  double ServiceMsP95 = 0;
-  double ServiceMsP99 = 0;
-  uint64_t ServiceSamples = 0;
-  /// The full service-time histogram (log-linear buckets, obs/Metrics.h);
-  /// the percentiles above are read from this snapshot.
+  /// Lifetime service-time (dequeue to response-built) histogram
+  /// (log-linear buckets, obs/Metrics.h).
   HistogramSnapshot ServiceLatency;
-  /// Wall time spent executing requests, summed over the shard workers
-  /// plus inline (ping/stats) handling on the IO thread.
-  double DispatcherBusyMs = 0;
-  /// DispatcherBusyMs / UptimeMs, clamped to [0, 1].  With N shards this
-  /// saturates at 1.0 per the v2 contract even though N workers can be
-  /// busy at once; the per-shard busy_ms below carry the full picture.
-  double DispatcherUtilization = 0;
+  /// Wall time the IO thread spent answering ping/stats inline.
+  double InlineBusyMs = 0;
   /// Per-shard breakdown, one entry per shard in shard order.
   std::vector<ShardStats> PerShard;
-  /// Persistent disk-cache counters; meaningful when DiskCacheEnabled.
-  bool DiskCacheEnabled = false;
-  uint64_t DiskEntries = 0;
-  uint64_t DiskBytes = 0;
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
-  uint64_t DiskWrites = 0;
-  uint64_t DiskEvictions = 0;
-  /// Loads whose recency touch (utimensat) failed; the entry was still
-  /// served, but LRU eviction order is degraded for it.
-  uint64_t DiskTouchFailures = 0;
-  /// Delta (warm-start) counters summed over every shard's private
-  /// driver; DeltaBases counts bases currently retained across shards.
-  uint64_t DeltaHits = 0;
-  uint64_t DeltaFallbacks = 0;
-  uint64_t DeltaBases = 0;
+  /// Persistent disk-cache counters; empty when the disk cache is off.
+  std::optional<DiskCacheStats> Disk;
+
+  /// Every answered request: the sum of the six kind counters above.
+  uint64_t requestsTotal() const;
+  /// Every shard's values summed (Queue.MaxDepth: the highest any single
+  /// shard queue reached).
+  ShardStats totals() const;
 };
 
 /// Serializes \p Stats as a "layra-serve-stats/v4" response payload.  Each
@@ -229,7 +197,8 @@ std::string makeStatsResponse(const ServerStats &Stats,
 
 /// Renders \p Stats plus the process-wide metrics registry snapshot as a
 /// Prometheus-style text exposition (`layra-serve --metrics-dump=FILE`,
-/// written on SIGUSR1 and at drain).
+/// written on SIGUSR1 and at drain).  Server values are read out of the
+/// makeStatsResponse document, so both always agree.
 std::string makeMetricsExposition(const ServerStats &Stats);
 
 /// The server.  Typical use:

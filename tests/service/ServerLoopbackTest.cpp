@@ -347,9 +347,9 @@ TEST(ServerLoopbackTest, MemoryStaysBoundedByCacheCapacity) {
   }
 
   ServerStats Stats = S.stats();
-  EXPECT_EQ(Stats.CacheCapacity, 8u);
-  EXPECT_LE(Stats.CacheEntries, 8u);
-  EXPECT_GT(Stats.CacheEvictions, 0u);
+  EXPECT_EQ(Stats.totals().Cache.Capacity, 8u);
+  EXPECT_LE(Stats.totals().Cache.Entries, 8u);
+  EXPECT_GT(Stats.totals().Cache.Evictions, 0u);
 }
 
 TEST(ServerLoopbackTest, SubmitIrMatchesDirectDriverAndRejectsBadIr) {
@@ -482,7 +482,7 @@ TEST(ServerLoopbackTest, SubmitIrDeltaWarmStartMatchesFreshSolveByteForByte) {
   ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
       << Error;
   EXPECT_FALSE(Client::isErrorResponse(Response));
-  EXPECT_EQ(S.stats().DeltaBases, 1u);
+  EXPECT_EQ(S.stats().totals().Delta.Bases, 1u);
 
   Req.IrText = EditedIr;
   Req.Base = formatBaseKey(submitIrBaseKey(BaseIr));
@@ -491,8 +491,8 @@ TEST(ServerLoopbackTest, SubmitIrDeltaWarmStartMatchesFreshSolveByteForByte) {
       Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
       << Error;
   EXPECT_FALSE(Client::isErrorResponse(DeltaResponse));
-  EXPECT_EQ(S.stats().DeltaHits, 1u);
-  EXPECT_EQ(S.stats().DeltaFallbacks, 0u);
+  EXPECT_EQ(S.stats().totals().Delta.Hits, 1u);
+  EXPECT_EQ(S.stats().totals().Delta.Fallbacks, 0u);
 
   // Reference: the same edited IR, submitted plain to a fresh server.
   ServerOptions FreshOpt;
@@ -525,7 +525,7 @@ TEST(ServerLoopbackTest, SubmitIrDeltaWarmStartMatchesFreshSolveByteForByte) {
       Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
       << Error;
   EXPECT_FALSE(Client::isErrorResponse(DeltaResponse));
-  EXPECT_EQ(S.stats().DeltaFallbacks, 1u);
+  EXPECT_EQ(S.stats().totals().Delta.Fallbacks, 1u);
   FreshReq.IrText = Structural;
   ASSERT_TRUE(FreshConn.call(Client::makeSubmitIrRequest(FreshReq),
                              FreshResponse, &Error))
@@ -603,7 +603,7 @@ TEST(ServerLoopbackTest, DeltaFromGraphAllocatorBaseServesIntervalAllocator) {
   ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
       << Error;
   ASSERT_FALSE(Client::isErrorResponse(Response)) << Response;
-  ASSERT_EQ(S.stats().DeltaBases, 1u);
+  ASSERT_EQ(S.stats().totals().Delta.Bases, 1u);
 
   Req.IrText = EditedIr;
   Req.Options.AllocatorName = "ls";
@@ -613,8 +613,8 @@ TEST(ServerLoopbackTest, DeltaFromGraphAllocatorBaseServesIntervalAllocator) {
       Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
       << Error;
   EXPECT_FALSE(Client::isErrorResponse(DeltaResponse)) << DeltaResponse;
-  EXPECT_EQ(S.stats().DeltaHits, 1u);
-  EXPECT_EQ(S.stats().DeltaFallbacks, 0u);
+  EXPECT_EQ(S.stats().totals().Delta.Hits, 1u);
+  EXPECT_EQ(S.stats().totals().Delta.Fallbacks, 0u);
   std::string Payload;
   EXPECT_TRUE(Conn.stats(Payload, &Error)) << Error;
 
@@ -1005,16 +1005,16 @@ TEST(ServerLoopbackTest, DiskCacheWarmRestartServesIdenticalBytes) {
 
   ServerStats Cold;
   serveOnce("cold.sock", Cold);
-  EXPECT_TRUE(Cold.DiskCacheEnabled);
-  EXPECT_GT(Cold.DiskWrites, 0u);
-  EXPECT_GT(Cold.DiskEntries, 0u);
+  EXPECT_TRUE(Cold.Disk.has_value());
+  EXPECT_GT(Cold.Disk->Writes, 0u);
+  EXPECT_GT(Cold.Disk->Entries, 0u);
 
   // Second process, same directory: its memory caches start empty, so
   // every task resolves through the disk store.
   ServerStats Warm;
   serveOnce("warm.sock", Warm);
-  EXPECT_GT(Warm.DiskHits, 0u);
-  EXPECT_EQ(Warm.DiskWrites, 0u); // Nothing new to persist.
+  EXPECT_GT(Warm.Disk->Hits, 0u);
+  EXPECT_EQ(Warm.Disk->Writes, 0u); // Nothing new to persist.
 
   // Scrub the cache tree so TempDir can rmdir.
   std::string Cmd = "rm -rf '" + CacheDir + "'";

@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -37,9 +36,8 @@ using namespace layra;
 namespace {
 
 /// The fixed snapshot behind every fixture: two shards, a 50-sample
-/// service-time histogram, and (optionally) a disk cache.  Aggregates are
-/// exactly what Server::stats() would report for these per-shard values.
-/// Changing this function invalidates the fixtures by design.
+/// service-time histogram, and (optionally) a disk cache.  Changing the
+/// values invalidates the fixtures by design.
 ServerStats goldenStats(bool WithDisk) {
   Histogram Service;
   for (unsigned I = 1; I <= 50; ++I)
@@ -52,79 +50,51 @@ ServerStats goldenStats(bool WithDisk) {
   S.RequestsPing = 5;
   S.RequestsFailed = 2;
   S.RequestsRejected = 1;
-  S.RequestsTotal = 40 + 57 + 3 + 5 + 2 + 1;
   S.ConnectionsAccepted = 9;
   S.ConnectionsRejected = 1;
   S.ConnectionsActive = 2;
   S.Threads = 2;
   S.UptimeMs = 1234.5;
+  S.ServiceLatency = Service.snapshot();
+  S.InlineBusyMs = 1.75;
 
   ShardStats A;
   A.Requests = 45;
-  A.CacheEntries = 30;
-  A.CacheCapacity = 64;
-  A.CacheHits = 12;
-  A.CacheMisses = 33;
-  A.CacheEvictions = 0;
-  A.QueueDepth = 1;
-  A.QueueMaxDepth = 4;
-  A.QueueCapacity = 8;
   A.BusyMs = 210.25;
-  A.DeltaHits = 7;
-  A.DeltaFallbacks = 1;
-  A.DeltaBases = 5;
+  A.Cache.Entries = 30;
+  A.Cache.Capacity = 64;
+  A.Cache.Hits = 12;
+  A.Cache.Misses = 33;
+  A.Cache.Evictions = 0;
+  A.Delta.Hits = 7;
+  A.Delta.Fallbacks = 1;
+  A.Delta.Bases = 5;
+  A.Queue = {1, 4, 8};
   ShardStats B;
   B.Requests = 52;
-  B.CacheEntries = 41;
-  B.CacheCapacity = 64;
-  B.CacheHits = 20;
-  B.CacheMisses = 32;
-  B.CacheEvictions = 3;
-  B.QueueDepth = 0;
-  B.QueueMaxDepth = 6;
-  B.QueueCapacity = 8;
   B.BusyMs = 305.5;
-  B.DeltaHits = 9;
-  B.DeltaFallbacks = 0;
-  B.DeltaBases = 6;
+  B.Cache.Entries = 41;
+  B.Cache.Capacity = 64;
+  B.Cache.Hits = 20;
+  B.Cache.Misses = 32;
+  B.Cache.Evictions = 3;
+  B.Delta.Hits = 9;
+  B.Delta.Fallbacks = 0;
+  B.Delta.Bases = 6;
+  B.Queue = {0, 6, 8};
   S.PerShard = {A, B};
 
-  double BusyMs = 1.75; // Inline (ping/stats) time on the IO thread.
-  for (const ShardStats &E : S.PerShard) {
-    S.CacheEntries += E.CacheEntries;
-    S.CacheCapacity += E.CacheCapacity;
-    S.CacheHits += E.CacheHits;
-    S.CacheMisses += E.CacheMisses;
-    S.CacheEvictions += E.CacheEvictions;
-    S.QueueDepth += E.QueueDepth;
-    S.QueueMaxDepth = std::max(S.QueueMaxDepth, E.QueueMaxDepth);
-    S.QueueCapacity += E.QueueCapacity;
-    S.DeltaHits += E.DeltaHits;
-    S.DeltaFallbacks += E.DeltaFallbacks;
-    S.DeltaBases += E.DeltaBases;
-    BusyMs += E.BusyMs;
-  }
-  S.DispatcherBusyMs = BusyMs;
-  S.DispatcherUtilization = std::min(1.0, BusyMs / S.UptimeMs);
-
   if (WithDisk) {
-    S.DiskCacheEnabled = true;
-    S.DiskEntries = 60;
-    S.DiskBytes = 123456;
-    S.DiskHits = 11;
-    S.DiskMisses = 54;
-    S.DiskWrites = 50;
-    S.DiskEvictions = 2;
-    S.DiskTouchFailures = 1;
+    DiskCacheStats D;
+    D.Entries = 60;
+    D.Bytes = 123456;
+    D.Hits = 11;
+    D.Misses = 54;
+    D.Writes = 50;
+    D.Evictions = 2;
+    D.TouchFailures = 1;
+    S.Disk = D;
   }
-
-  HistogramSnapshot Latency = Service.snapshot();
-  Latency.Name = "layra.serve.service_ms";
-  S.ServiceSamples = Latency.Count;
-  S.ServiceMsP50 = Latency.percentile(0.50);
-  S.ServiceMsP95 = Latency.percentile(0.95);
-  S.ServiceMsP99 = Latency.percentile(0.99);
-  S.ServiceLatency = std::move(Latency);
   return S;
 }
 
