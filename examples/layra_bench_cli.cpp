@@ -57,12 +57,12 @@
 ///                --no-timing the trace uses deterministic sequence
 ///                timestamps so it, too, is byte-identical across runs
 ///   --metrics    dump the metrics registry (per-stage latency histograms,
-///                stage counters, workspace/cache gauges) in Prometheus
-///                text format after the run, to FILE or stderr
-///   --workspace-stats  print the workspace/cache subset of the metrics
-///                registry (arena reuse accounting, pipeline-cache
-///                hit/miss/eviction gauges) to stderr; never part of the
-///                reports
+///                stage counters) plus the driver's workspace/cache gauges
+///                in Prometheus text format after the run, to FILE or
+///                stderr
+///   --workspace-stats  print the driver's workspace/cache gauges (arena
+///                reuse accounting, pipeline-cache hit/miss/eviction
+///                counts) to stderr; never part of the reports
 ///   --quiet      suppress the stdout summary table
 ///
 /// Examples:
@@ -450,6 +450,23 @@ int main(int Argc, char **Argv) {
   // warm start possible even in a fresh process).  Timed reports keep
   // the honest warm-cache view.
   DriverReport Report = Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing);
+  // The driver's own workspace/cache accounting as of this run (the graph
+  // suite below reuses the driver), as gauges for --workspace-stats and
+  // --metrics.  The workspace split is thread-count dependent (per-worker
+  // arenas), hence gauges and never report fields.
+  const WorkspaceStats WS = Driver.workspaceStats();
+  const DriverCacheCounters Cache = Driver.pipelineCacheCounters();
+  const std::vector<std::pair<std::string, double>> DriverGauges = {
+      {"layra.workspace.bytes_reused", double(WS.BytesReused)},
+      {"layra.workspace.bytes_allocated", double(WS.BytesAllocated)},
+      {"layra.workspace.acquires", double(WS.Acquires)},
+      {"layra.workspace.reuse_fraction", WS.reuseFraction()},
+      {"layra.driver.cache.hits", double(Cache.Hits)},
+      {"layra.driver.cache.misses", double(Cache.Misses)},
+      {"layra.driver.cache.evictions", double(Cache.Evictions)},
+      {"layra.driver.cache.entries", double(Cache.Entries)},
+      {"layra.driver.cache.capacity", double(Cache.Capacity)},
+  };
 
   if (!Opt.TracePath.empty()) {
     TraceCollector &TC = TraceCollector::global();
@@ -522,11 +539,11 @@ int main(int Argc, char **Argv) {
 
   if (Opt.WorkspaceStats || Opt.Metrics) {
     // Stderr (unless --metrics=FILE), so a report streamed to stdout stays
-    // parseable.  The workspace split is thread-count dependent (per-worker
-    // arenas), hence gauges in the registry and never report fields.
+    // parseable.
     MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
+    Snap.Gauges.insert(Snap.Gauges.end(), DriverGauges.begin(),
+                       DriverGauges.end());
     if (Opt.WorkspaceStats) {
-      // Alias for the workspace/cache subset of the registry.
       std::fputs(Snap.toText("layra.workspace.").c_str(), stderr);
       std::fputs(Snap.toText("layra.driver.cache.").c_str(), stderr);
     }

@@ -9,7 +9,6 @@
 
 #include "alloc/OptimalBnB.h"
 #include "ir/SsaBuilder.h"
-#include "obs/Metrics.h"
 #include "support/Compiler.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
@@ -45,23 +44,6 @@ double toMs(std::chrono::steady_clock::duration D) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              D)
       .count();
-}
-
-/// Publishes the driver's workspace-arena and pipeline-cache accounting as
-/// gauges in the global metrics registry; `layra-bench --workspace-stats`
-/// and `layra-serve --metrics-dump` read them back from a snapshot.
-void publishDriverGauges(const WorkspaceStats &WS,
-                         const DriverCacheCounters &Cache) {
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.set(M.gauge("layra.workspace.bytes_reused"), double(WS.BytesReused));
-  M.set(M.gauge("layra.workspace.bytes_allocated"), double(WS.BytesAllocated));
-  M.set(M.gauge("layra.workspace.acquires"), double(WS.Acquires));
-  M.set(M.gauge("layra.workspace.reuse_fraction"), WS.reuseFraction());
-  M.set(M.gauge("layra.driver.cache.hits"), double(Cache.Hits));
-  M.set(M.gauge("layra.driver.cache.misses"), double(Cache.Misses));
-  M.set(M.gauge("layra.driver.cache.evictions"), double(Cache.Evictions));
-  M.set(M.gauge("layra.driver.cache.entries"), double(Cache.Entries));
-  M.set(M.gauge("layra.driver.cache.capacity"), double(Cache.Capacity));
 }
 
 } // namespace
@@ -613,7 +595,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   Report.CacheEvictions =
       CacheTransparent ? 0 : PipelineCache.evictions() - EvictionsBefore;
   Report.WallMs = toMs(std::chrono::steady_clock::now() - BatchStart);
-  publishDriverGauges(workspaceStats(), pipelineCacheCounters());
   return Report;
 }
 
