@@ -59,11 +59,6 @@ inline constexpr const char *kErrorSchema = "layra-serve-error/v1";
 /// just see a different schema string plus the new members (the "delta"
 /// object and disk_cache.touch_failures).
 inline constexpr const char *kStatsSchema = "layra-serve-stats/v4";
-/// Historical stats schema names, kept so compatibility notes and tests
-/// can refer to them; the server no longer emits any of these.
-inline constexpr const char *kStatsSchemaV1 = "layra-serve-stats/v1";
-inline constexpr const char *kStatsSchemaV2 = "layra-serve-stats/v2";
-inline constexpr const char *kStatsSchemaV3 = "layra-serve-stats/v3";
 inline constexpr const char *kPongSchema = "layra-serve-pong/v1";
 
 /// Frame geometry.
