@@ -150,26 +150,27 @@ void Histogram::reset() {
 // MetricsSnapshot
 //===----------------------------------------------------------------------===//
 
-const uint64_t *MetricsSnapshot::counter(const std::string &Name) const {
+std::optional<uint64_t>
+MetricsSnapshot::counter(const std::string &Name) const {
   for (const auto &C : Counters)
     if (C.first == Name)
-      return &C.second;
-  return nullptr;
+      return C.second;
+  return std::nullopt;
 }
 
-const double *MetricsSnapshot::gauge(const std::string &Name) const {
+std::optional<double> MetricsSnapshot::gauge(const std::string &Name) const {
   for (const auto &G : Gauges)
     if (G.first == Name)
-      return &G.second;
-  return nullptr;
+      return G.second;
+  return std::nullopt;
 }
 
-const HistogramSnapshot *
+std::optional<HistogramSnapshot>
 MetricsSnapshot::histogram(const std::string &Name) const {
   for (const auto &H : Histograms)
     if (H.Name == Name)
-      return &H;
-  return nullptr;
+      return H;
+  return std::nullopt;
 }
 
 /// Prometheus metric names allow [a-zA-Z0-9_:] only.

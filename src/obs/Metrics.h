@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,9 +118,11 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> Gauges;
   std::vector<HistogramSnapshot> Histograms;
 
-  const uint64_t *counter(const std::string &Name) const;
-  const double *gauge(const std::string &Name) const;
-  const HistogramSnapshot *histogram(const std::string &Name) const;
+  /// Lookups by name, returned by value (empty when absent) so no caller
+  /// can hold a pointer into a snapshot that has gone away.
+  std::optional<uint64_t> counter(const std::string &Name) const;
+  std::optional<double> gauge(const std::string &Name) const;
+  std::optional<HistogramSnapshot> histogram(const std::string &Name) const;
 
   /// Prometheus text exposition format (metric names sanitized to
   /// [a-zA-Z0-9_:]; histograms emit cumulative _bucket/_sum/_count series).

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -181,12 +182,11 @@ TEST(MetricsRegistryTest, PerThreadShardsMergeInSnapshot) {
   for (std::thread &T : Threads)
     T.join();
   MetricsSnapshot Snap = R.snapshot();
-  const uint64_t *Count = Snap.counter("merge.counter");
-  ASSERT_NE(Count, nullptr);
-  EXPECT_EQ(*Count, uint64_t(kThreads) * kPerThread);
-  const HistogramSnapshot *Hist = Snap.histogram("merge.hist");
-  ASSERT_NE(Hist, nullptr);
+  EXPECT_EQ(Snap.counter("merge.counter"), uint64_t(kThreads) * kPerThread);
+  std::optional<HistogramSnapshot> Hist = Snap.histogram("merge.hist");
+  ASSERT_TRUE(Hist.has_value());
   EXPECT_EQ(Hist->Count, uint64_t(kThreads) * kPerThread);
+  EXPECT_FALSE(Snap.counter("merge.absent").has_value());
 }
 
 TEST(MetricsRegistryTest, CounterOverflowWrapsWithoutTrapping) {
@@ -194,10 +194,7 @@ TEST(MetricsRegistryTest, CounterOverflowWrapsWithoutTrapping) {
   CounterId C = R.counter("wrap.counter");
   R.add(C, UINT64_MAX); // One tick short of wrapping.
   R.add(C, 3);          // Modulo 2^64: lands on 2.
-  MetricsSnapshot Snap = R.snapshot(); // Outlives the pointer below.
-  const uint64_t *V = Snap.counter("wrap.counter");
-  ASSERT_NE(V, nullptr);
-  EXPECT_EQ(*V, 2u);
+  EXPECT_EQ(R.snapshot().counter("wrap.counter"), 2u);
 }
 
 TEST(MetricsRegistryTest, GaugesKeepLastValue) {
@@ -205,10 +202,7 @@ TEST(MetricsRegistryTest, GaugesKeepLastValue) {
   GaugeId G = R.gauge("test.gauge");
   R.set(G, 1.5);
   R.set(G, -2.25);
-  MetricsSnapshot Snap = R.snapshot(); // Outlives the pointer below.
-  const double *V = Snap.gauge("test.gauge");
-  ASSERT_NE(V, nullptr);
-  EXPECT_EQ(*V, -2.25);
+  EXPECT_EQ(R.snapshot().gauge("test.gauge"), -2.25);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesCachedWriters) {
@@ -216,10 +210,10 @@ TEST(MetricsRegistryTest, ResetZeroesCachedWriters) {
   CounterId C = R.counter("reset.counter");
   R.add(C, 7);
   R.reset();
-  EXPECT_EQ(*R.snapshot().counter("reset.counter"), 0u);
+  EXPECT_EQ(R.snapshot().counter("reset.counter"), 0u);
   // The thread's cached shard pointer must still be valid for new writes.
   R.add(C, 2);
-  EXPECT_EQ(*R.snapshot().counter("reset.counter"), 2u);
+  EXPECT_EQ(R.snapshot().counter("reset.counter"), 2u);
 }
 
 //===----------------------------------------------------------------------===//
