@@ -54,7 +54,7 @@
 ///   --suite       suites named in each request (default eembc)
 ///   --regs        register counts per request (default 4..8)
 ///   --stats       fetch and print the server's stats payload at the end,
-///                 plus a per-shard cache hit-rate summary (stats v3)
+///                 plus a per-shard cache hit-rate summary (stats v4)
 ///   --trace-sample=K
 ///                 request a traced response (docs/PROTOCOL.md `trace`
 ///                 field) for every K-th request of each client and print
@@ -778,7 +778,7 @@ int main(int Argc, char **Argv) {
     Client Conn = connect(Opt, &Error);
     if (Conn.valid() && Conn.stats(Stats, &Error)) {
       std::fputs(Stats.c_str(), stdout);
-      // Per-shard hit-rate summary out of the v3 `shards` array: the
+      // Per-shard hit-rate summary out of the v4 `shards` array: the
       // one-line view of whether content-hash routing kept each shard's
       // cache warm.
       JsonParseResult Parsed = parseJson(Stats);

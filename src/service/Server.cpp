@@ -375,7 +375,9 @@ JsonValue statsDocument(const ServerStats &S) {
   // Utilization saturates at 1.0 per the v2 contract even though N shard
   // workers can be busy at once; the per-shard busy_ms carry the rest.
   JsonValue Dispatcher = JsonValue::object();
-  double BusyMs = S.InlineBusyMs; // Summed in the order the v2 code did.
+  // Inline time first, then the shards in order: the summation order
+  // decides the last bits of busy_ms.
+  double BusyMs = S.InlineBusyMs;
   for (const ShardStats &E : S.PerShard)
     BusyMs += E.BusyMs;
   Dispatcher.set("busy_ms", BusyMs);
