@@ -640,7 +640,7 @@ struct Server::Impl {
   void emitSlowRequest(const obs::RequestTrace &Trace, double TotalMs,
                        ServiceRequest::Kind K);
   ServerStats snapshotStats();
-  /// Bumps one of the request/connection counters the IO loop owns.
+  /// Bumps one request/connection counter; safe from any thread.
   void count(uint64_t ServerStats::*Counter) {
     std::lock_guard<std::mutex> L(StatsMutex);
     ++(Counters.*Counter);
