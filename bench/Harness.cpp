@@ -89,7 +89,7 @@ FigureData layra::bench::measureFigure(const FigureSpec &Spec) {
       bool IsOptimal = Name == "optimal";
       std::string Error;
       std::vector<AllocationResult> Results = Driver.solveProblems(
-          Instances, Name, Spec.OptimalNodeLimit, &Error);
+          Instances, Name, Spec.OptimalNodeLimit, Error);
       if (!Error.empty()) {
         // A misconfigured figure (bad allocator name, linear scan over
         // graph-only instances) is a usage error, not a process abort.

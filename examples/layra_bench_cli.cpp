@@ -304,7 +304,7 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
 
     std::string Error;
     std::vector<AllocationResult> Results = Driver.solveProblems(
-        Instances, Opt.Pipeline.AllocatorName, 50'000'000, &Error);
+        Instances, Opt.Pipeline.AllocatorName, 50'000'000, Error);
     if (!Error.empty()) {
       std::fprintf(stderr, "error: suite '%s': %s\n", kGraphSuiteName,
                    Error.c_str());

@@ -89,12 +89,6 @@ uint64_t layra::hashFunction(const Function &F) {
   return H;
 }
 
-uint64_t layra::hashPipelineTask(const Function &F, const TargetDesc &Target,
-                                 unsigned NumRegisters,
-                                 const PipelineOptions &Options) {
-  return hashPipelineTask(hashFunction(F), Target, NumRegisters, Options);
-}
-
 uint64_t layra::hashPipelineTask(uint64_t FunctionHash,
                                  const TargetDesc &Target,
                                  unsigned NumRegisters,
@@ -193,7 +187,6 @@ WorkspaceStats BatchDriver::workspaceStats() const {
 
 void BatchDriver::setCacheCapacity(size_t MaxEntries) {
   PipelineCache.setCapacity(MaxEntries);
-  ProblemCache.setCapacity(MaxEntries);
 }
 
 DriverCacheCounters BatchDriver::pipelineCacheCounters() const {
@@ -203,16 +196,6 @@ DriverCacheCounters BatchDriver::pipelineCacheCounters() const {
   C.Evictions = PipelineCache.evictions();
   C.Entries = PipelineCache.size();
   C.Capacity = PipelineCache.capacity();
-  return C;
-}
-
-DriverCacheCounters BatchDriver::problemCacheCounters() const {
-  DriverCacheCounters C;
-  C.Hits = ProblemHits;
-  C.Misses = ProblemMisses;
-  C.Evictions = ProblemCache.evictions();
-  C.Entries = ProblemCache.size();
-  C.Capacity = ProblemCache.capacity();
   return C;
 }
 
@@ -238,14 +221,12 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
                               std::vector<PhaseTotals> *PhaseSink) {
   auto BatchStart = std::chrono::steady_clock::now();
 
-  // A per-call sink needs phase accounting live for the duration of this
-  // run even when no one enabled it globally.  The flip is restored on
-  // exit; report-visible breakdowns key off WasAccounting (below) so the
-  // sink alone never changes report bytes.
+  // Report-visible breakdowns key off the global switch as it stood when
+  // the run began.  A per-call sink switches accounting on only on the
+  // threads solving this run's tasks (phase 3), so neither concurrent runs
+  // nor this run's report bytes can see it.
   const bool WasAccounting = obs::phaseAccountingEnabled();
   const bool WantSink = PhaseSink != nullptr;
-  if (WantSink && !WasAccounting)
-    obs::setPhaseAccounting(true);
 
   DriverReport Report;
   Report.Threads = Pool.numThreads();
@@ -269,11 +250,21 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     bool PersistentHit; ///< Key was in the cache before this run.
     bool BatchDup;      ///< An earlier task of this run has the same key.
     TaskOutcome CachedOut; ///< Meaningful only when PersistentHit.
-    size_t UniqueIndex; ///< Slot in the unique-solve arrays.
+    size_t UniqueIndex; ///< Slot in Unique (below).
+  };
+  /// One instance solved this run: the first task that met its key, the
+  /// delta capture riding on the solve, and what the solve produced.
+  struct UniqueSolve {
+    size_t PendingIndex;
+    std::shared_ptr<DeltaBase> Capture{};
+    TaskOutcome Out{};
+    double Ms = 0;
+    PhaseTotals Phases{};
+    bool UsedDelta = false;
   };
   std::vector<PendingTask> Pending;
-  std::unordered_map<uint64_t, size_t> UniqueOf; // Key -> unique slot.
-  std::vector<size_t> UniqueToPending;
+  std::vector<UniqueSolve> Unique;
+  std::unordered_map<uint64_t, size_t> UniqueOf; // Key -> Unique slot.
   std::unordered_set<uint64_t> BatchSeen; // Every key met this run.
   // Outcomes pulled from the persistent store this run, read at most once
   // per key (the map dedupes repeats) and committed to the memory cache in
@@ -281,24 +272,16 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   std::unordered_map<uint64_t, TaskOutcome> StoreLoaded;
   std::vector<uint64_t> StoreLoadOrder;
 
-  // Delta bookkeeping, all decided in this serial phase.  Bases and
-  // captures attach to *unique solves* (first occurrence of a key): the
-  // solve is byte-equal to a plain one, so batch twins and cached tasks
-  // share its outcome unchanged.  A retained-but-cached instance still
-  // needs a capture-only solve (below) so "request accepted => base
-  // registered" survives warm restarts whose outcomes come from disk.
+  // Delta bookkeeping, all decided in this serial phase.  A slot's base
+  // comes from the job of its first task.  A task that must become a base
+  // (the first task of a RetainKey job whose key is not registered) is
+  // always a unique solve, whatever the caches hold, so its capture rides
+  // on the one solve pass: "request accepted => base registered" holds
+  // even when the outcome itself was already cached.  Retains lists the
+  // (slot, key) pairs to register, in expansion order.
   std::vector<std::shared_ptr<const DeltaBase>> JobBases(Jobs.size());
   std::unordered_set<uint64_t> RetainSeen;
-  std::vector<const DeltaBase *> UniqueBase;
-  std::vector<char> UniqueWantBase;
-  std::vector<std::shared_ptr<DeltaBase>> UniqueCapture;
-  std::vector<uint64_t> UniqueCaptureKey;
-  struct CaptureSolve {
-    size_t PendingIndex;
-    std::shared_ptr<DeltaBase> Capture;
-    uint64_t Key;
-  };
-  std::vector<CaptureSolve> CaptureSolves;
+  std::vector<std::pair<size_t, uint64_t>> Retains;
 
   // Function pointers are stable for the duration of run() (suites live in
   // GeneratedSuites or in the caller's SuiteData), so each function's IR is
@@ -356,21 +339,16 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     // with it LRU eviction order stay deterministic).  The shared_ptr
     // copy keeps the base alive even if this run's own phase-4 inserts
     // evict it from the registry.
-    const DeltaBase *JobBase = nullptr;
     if (Job.BaseKey)
       if (const std::shared_ptr<const DeltaBase> *E =
-              BaseRegistry.find(Job.BaseKey)) {
+              BaseRegistry.find(Job.BaseKey))
         JobBases[JI] = *E;
-        JobBase = JobBases[JI].get();
-      }
     // Retain at most one capture per key per run; an already-registered
     // key just has its recency refreshed.
-    bool WantCapture = false;
-    if (Job.RetainKey && !RetainSeen.count(Job.RetainKey) &&
-        BaseRegistry.find(Job.RetainKey) == nullptr) {
-      WantCapture = true;
+    bool WantCapture = Job.RetainKey && !RetainSeen.count(Job.RetainKey) &&
+                       BaseRegistry.find(Job.RetainKey) == nullptr;
+    if (WantCapture)
       RetainSeen.insert(Job.RetainKey);
-    }
     for (const SuiteProgram &Prog : S.Programs)
       for (const Function &F : Prog.Functions) {
         PendingTask T;
@@ -383,48 +361,34 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
         T.Key = hashPipelineTask(HashOf(F), Job.Target, JobBudgets[JI],
                                  Job.Options);
         T.BatchDup = !BatchSeen.insert(T.Key).second;
+        T.PersistentHit = false;
         T.UniqueIndex = ~size_t(0);
+        // The job's first task becomes the base, so it must be solved.
+        const bool Capture = WantCapture;
+        WantCapture = false;
         // find() marks the entry most recently used; lookups never insert,
         // so no eviction can happen before the phase-4 commit.
-        if (const TaskOutcome *Hit = PipelineCache.find(T.Key)) {
+        if (const TaskOutcome *Hit =
+                Capture ? nullptr : PipelineCache.find(T.Key)) {
           T.PersistentHit = true;
           T.CachedOut = *Hit;
-        } else if (OutcomeStore && LookupStore(T.Key, T.CachedOut)) {
+        } else if (!Capture && OutcomeStore &&
+                   LookupStore(T.Key, T.CachedOut)) {
           // A store hit is a persistent hit the memory cache merely
           // forgot (or never saw -- a fresh process warm-starting from
           // disk); phase 4 re-seats it in the memory cache.
           T.PersistentHit = true;
         } else {
-          T.PersistentHit = false;
-          auto Known = UniqueOf.find(T.Key);
-          if (Known != UniqueOf.end()) {
-            T.UniqueIndex = Known->second;
-          } else {
-            T.UniqueIndex = UniqueOf.size();
-            UniqueOf.emplace(T.Key, T.UniqueIndex);
-            UniqueToPending.push_back(Pending.size());
-            UniqueBase.push_back(JobBase);
-            UniqueWantBase.push_back(Job.BaseKey != 0);
-            UniqueCapture.push_back(nullptr);
-            UniqueCaptureKey.push_back(0);
-          }
-        }
-        if (WantCapture) {
-          WantCapture = false; // The job's first task becomes the base.
-          auto Slot = UniqueOf.find(T.Key);
-          if (Slot != UniqueOf.end() && !UniqueCapture[Slot->second]) {
-            // The instance is solved this run anyway; capture rides along
-            // on that solve for free.
-            UniqueCapture[Slot->second] = std::make_shared<DeltaBase>();
-            UniqueCaptureKey[Slot->second] = Job.RetainKey;
-          } else {
-            // Cached instance (or its solve already captures another
-            // key): schedule a dedicated capture-only solve.  The report
-            // still uses the cached outcome -- identical bytes, since the
-            // outcome is a pure function of the instance.
-            CaptureSolves.push_back(
-                {Pending.size(), std::make_shared<DeltaBase>(),
-                 Job.RetainKey});
+          auto [Slot, New] = UniqueOf.emplace(T.Key, Unique.size());
+          T.UniqueIndex = Slot->second;
+          if (New)
+            Unique.push_back({Pending.size()});
+          if (Capture) {
+            // A batch twin capturing for another key shares the capture.
+            std::shared_ptr<DeltaBase> &C = Unique[T.UniqueIndex].Capture;
+            if (!C)
+              C = std::make_shared<DeltaBase>();
+            Retains.emplace_back(T.UniqueIndex, Job.RetainKey);
           }
         }
         if (T.PersistentHit || T.BatchDup)
@@ -439,17 +403,12 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // writes only its own slot; the library itself is deterministic, and a
   // workspace carries only buffer capacity, never state, so slot-local
   // workspace reuse cannot leak one task's results into another's.
-  std::vector<TaskOutcome> Outcomes(UniqueToPending.size());
-  std::vector<double> SolveMs(UniqueToPending.size(), 0);
-  // Sampled once so a mid-run flip cannot leave half-collected breakdowns.
   const bool CollectPhases = WasAccounting || WantSink;
-  std::vector<PhaseTotals> TaskPhases(CollectPhases ? UniqueToPending.size()
-                                                    : 0);
-  std::vector<char> UniqueUsedDelta(UniqueToPending.size(), 0);
-  Pool.parallelForWorker(UniqueToPending.size(), [&](size_t I,
-                                                     unsigned Slot) {
-    const PendingTask &T = Pending[UniqueToPending[I]];
+  Pool.parallelForWorker(Unique.size(), [&](size_t I, unsigned Slot) {
+    UniqueSolve &U = Unique[I];
+    const PendingTask &T = Pending[U.PendingIndex];
     const BatchJob &Job = Jobs[T.JobIndex];
+    obs::ScopedPhaseAccounting SinkScope(WantSink);
     // Tasks run serially on a worker, so the thread-local phase totals
     // delta across this task is exactly this task's breakdown.
     PhaseTotals Before;
@@ -457,49 +416,32 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
       Before = obs::threadPhaseTotals();
     auto Start = std::chrono::steady_clock::now();
     SsaConversion Ssa = convertToSsa(*T.F);
+    // A solve either consumes a base or becomes one; a capture sharing a
+    // delta consumer's slot makes that solve a full one (byte-equal).
     PipelineDeltaContext Delta;
-    Delta.Base = UniqueBase[I];
-    Delta.Capture = UniqueCapture[I].get();
+    Delta.Capture = U.Capture.get();
+    if (!Delta.Capture)
+      Delta.Base = JobBases[T.JobIndex].get();
     PipelineResult R =
         runAllocationPipeline(Ssa.Ssa, Job.Target, JobBudgets[T.JobIndex],
                               Job.Options, Workspaces[Slot].get(), &Delta);
-    UniqueUsedDelta[I] = Delta.UsedDelta ? 1 : 0;
+    U.UsedDelta = Delta.UsedDelta;
     if (CollectPhases) {
       const PhaseTotals &After = obs::threadPhaseTotals();
       for (unsigned P = 0; P < kNumPhases; ++P) {
-        TaskPhases[I].Ms[P] = After.Ms[P] - Before.Ms[P];
-        TaskPhases[I].Count[P] = After.Count[P] - Before.Count[P];
+        U.Phases.Ms[P] = After.Ms[P] - Before.Ms[P];
+        U.Phases.Count[P] = After.Count[P] - Before.Count[P];
       }
     }
-    TaskOutcome &Out = Outcomes[I];
-    Out.SpillCost = R.TotalSpillCost;
-    Out.NumLoads = R.Spills.NumLoads;
-    Out.NumStores = R.Spills.NumStores;
-    Out.LoadsFolded = R.LoadsFolded;
-    Out.Rounds = R.Rounds;
-    Out.FinalMaxLive = R.FinalMaxLive;
-    Out.Fits = R.Fits;
-    SolveMs[I] = toMs(std::chrono::steady_clock::now() - Start);
+    U.Out.SpillCost = R.TotalSpillCost;
+    U.Out.NumLoads = R.Spills.NumLoads;
+    U.Out.NumStores = R.Spills.NumStores;
+    U.Out.LoadsFolded = R.LoadsFolded;
+    U.Out.Rounds = R.Rounds;
+    U.Out.FinalMaxLive = R.FinalMaxLive;
+    U.Out.Fits = R.Fits;
+    U.Ms = toMs(std::chrono::steady_clock::now() - Start);
   });
-  // Capture-only solves for retained instances whose outcome was already
-  // cached: nothing of these runs enters the report (outcomes are pure
-  // functions of the instance, so re-solving adds no information), they
-  // only populate the base registry.
-  if (!CaptureSolves.empty())
-    Pool.parallelForWorker(CaptureSolves.size(), [&](size_t I,
-                                                     unsigned Slot) {
-      const PendingTask &T = Pending[CaptureSolves[I].PendingIndex];
-      const BatchJob &Job = Jobs[T.JobIndex];
-      SsaConversion Ssa = convertToSsa(*T.F);
-      PipelineDeltaContext Delta;
-      Delta.Capture = CaptureSolves[I].Capture.get();
-      runAllocationPipeline(Ssa.Ssa, Job.Target, JobBudgets[T.JobIndex],
-                            Job.Options, Workspaces[Slot].get(), &Delta);
-    });
-  // All spans are closed once the pool drains; restore the global flip
-  // before anything else can observe it.
-  if (WantSink && !WasAccounting)
-    obs::setPhaseAccounting(false);
 
   // Phase 4 (serial): commit outcomes to the cache and assemble the
   // reports in expansion order.  Results are read from the phase-2/3
@@ -512,38 +454,38 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // outcomes also flow down into the persistent store.
   for (uint64_t Key : StoreLoadOrder)
     PipelineCache.insert(Key, StoreLoaded.at(Key));
-  for (size_t I = 0; I < UniqueToPending.size(); ++I) {
-    PipelineCache.insert(Pending[UniqueToPending[I]].Key, Outcomes[I]);
+  // Delta hits/fallbacks are tallied over this run's solves and captured
+  // bases registered in expansion order, so registry contents and LRU
+  // eviction order are thread-count independent.  Incomplete captures (no
+  // liveness: the pipeline never reached a round-0 build, e.g. MaxRounds
+  // quirks) are dropped rather than registered as unusable bases.
+  for (const UniqueSolve &U : Unique) {
+    const PendingTask &T = Pending[U.PendingIndex];
+    // A capture solve skipped the lookups, so its key may already be
+    // cached (or loaded from the store by a later twin): refresh, not add.
+    if (!PipelineCache.find(T.Key))
+      PipelineCache.insert(T.Key, U.Out);
     if (OutcomeStore)
-      OutcomeStore->store(Pending[UniqueToPending[I]].Key, Outcomes[I]);
+      OutcomeStore->store(T.Key, U.Out);
+    if (Jobs[T.JobIndex].BaseKey)
+      ++(U.UsedDelta ? DeltaHits : DeltaFallbacks);
   }
-
-  // Delta commit (serial): tally hits/fallbacks over this run's solved
-  // tasks and register captured bases in expansion order, so registry
-  // contents and LRU eviction order are thread-count independent.
-  // Incomplete captures (no liveness: the pipeline never reached a
-  // round-0 build, e.g. MaxRounds quirks) are dropped rather than
-  // registered as unusable bases.
-  for (size_t I = 0; I < UniqueToPending.size(); ++I) {
-    if (UniqueWantBase[I])
-      ++(UniqueUsedDelta[I] ? DeltaHits : DeltaFallbacks);
-    if (UniqueCapture[I] && UniqueCapture[I]->Live)
-      BaseRegistry.insert(UniqueCaptureKey[I], std::move(UniqueCapture[I]));
-  }
-  for (CaptureSolve &C : CaptureSolves)
-    if (C.Capture->Live)
-      BaseRegistry.insert(C.Key, std::move(C.Capture));
+  for (const auto &[Slot, Key] : Retains)
+    if (Unique[Slot].Capture->Live)
+      BaseRegistry.insert(Key, Unique[Slot].Capture);
 
   std::vector<std::vector<double>> JobSolveMs(Jobs.size());
   std::vector<PhaseTotals> JobPhases(CollectPhases ? Jobs.size() : 0);
   for (const PendingTask &T : Pending) {
     JobReport &JR = Report.Jobs[T.JobIndex];
+    const bool Solved = !T.PersistentHit && !T.BatchDup;
     // Phase breakdowns, like WallMs, cover only the tasks actually solved
     // in this run (cache hits and batch twins cost no solver time).
-    if (CollectPhases && !T.PersistentHit && !T.BatchDup)
+    if (CollectPhases && Solved)
       for (unsigned P = 0; P < kNumPhases; ++P) {
-        JobPhases[T.JobIndex].Ms[P] += TaskPhases[T.UniqueIndex].Ms[P];
-        JobPhases[T.JobIndex].Count[P] += TaskPhases[T.UniqueIndex].Count[P];
+        JobPhases[T.JobIndex].Ms[P] += Unique[T.UniqueIndex].Phases.Ms[P];
+        JobPhases[T.JobIndex].Count[P] +=
+            Unique[T.UniqueIndex].Phases.Count[P];
       }
     TaskResult Result;
     Result.Program = *T.Program;
@@ -553,9 +495,9 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     // only duplicates *within* this run count as hits.
     Result.CacheHit =
         CacheTransparent ? T.BatchDup : (T.PersistentHit || T.BatchDup);
-    Result.Out = T.PersistentHit ? T.CachedOut : Outcomes[T.UniqueIndex];
-    if (!T.PersistentHit && !T.BatchDup) {
-      Result.WallMs = SolveMs[T.UniqueIndex];
+    Result.Out = T.PersistentHit ? T.CachedOut : Unique[T.UniqueIndex].Out;
+    if (Solved) {
+      Result.WallMs = Unique[T.UniqueIndex].Ms;
       JobSolveMs[T.JobIndex].push_back(Result.WallMs);
     }
     JR.TotalSpillCost += Result.Out.SpillCost;
@@ -601,72 +543,49 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
 std::vector<AllocationResult>
 BatchDriver::solveProblems(const std::vector<const AllocationProblem *> &Problems,
                            const std::string &AllocatorName,
-                           uint64_t OptimalNodeLimit, std::string *Error) {
+                           uint64_t OptimalNodeLimit, std::string &Error) {
   bool IsOptimal = AllocatorName == "optimal";
 
   // Validate the allocator name and allocator-vs-problem compatibility up
   // front, on the calling thread: a bad name or an interval-consuming
   // allocator handed a graph-only instance must surface as a per-call
-  // error (or, for legacy callers without \p Error, a fatal *here*), never
-  // as a layraFatalError inside a pool worker.
-  auto Fail = [&](std::string Message) -> std::vector<AllocationResult> {
-    if (!Error)
-      layraFatalError(Message.c_str());
-    *Error = std::move(Message);
-    return {};
-  };
-  if (Error)
-    Error->clear();
+  // error, never as a layraFatalError inside a pool worker.
+  Error.clear();
   if (!IsOptimal) {
     std::unique_ptr<Allocator> Probe = makeAllocator(AllocatorName);
     if (!Probe) {
       std::string Known;
       for (const std::string &N : allAllocatorNames())
         Known += " " + N;
-      return Fail("unknown allocator '" + AllocatorName + "' (known:" +
-                  Known + ")");
+      Error = "unknown allocator '" + AllocatorName + "' (known:" + Known +
+              ")";
+      return {};
     }
     if (Probe->requiresIntervals())
       for (size_t I = 0; I < Problems.size(); ++I)
-        if (!Problems[I]->Intervals)
-          return Fail("allocator '" + AllocatorName +
-                      "' requires live intervals, but problem #" +
-                      std::to_string(I) +
-                      " is graph-only (no interval table); pick a "
-                      "graph-based allocator or an interval-bearing suite");
+        if (!Problems[I]->Intervals) {
+          Error = "allocator '" + AllocatorName +
+                  "' requires live intervals, but problem #" +
+                  std::to_string(I) +
+                  " is graph-only (no interval table); pick a graph-based "
+                  "allocator or an interval-bearing suite";
+          return {};
+        }
   }
 
-  // Serial classification, exactly as in run(): first occurrence of a key
-  // solves, later ones share.
-  uint64_t Salt = mixString(0x6c617972612d7370ULL, AllocatorName); // "la-sp"
-  // The node limit shapes results only for the branch-and-bound solver;
-  // keying it for other allocators would needlessly split their caches.
-  Salt = mix(Salt, IsOptimal ? OptimalNodeLimit : 0);
-  // Persistent-cache hits are copied out during classification: a bounded
-  // cache may evict them before the final assembly below.
-  std::vector<AllocationResult> Results(Problems.size());
-  std::vector<uint64_t> Keys(Problems.size());
-  std::vector<size_t> ResultUnique(Problems.size(), ~size_t(0));
+  // Serial dedupe, as in run(): the first occurrence of an instance
+  // solves, later ones share (same accepted hash-collision tradeoff).
+  // The allocator and node limit are fixed for the call, so the problem
+  // hash alone is the key.
+  std::vector<size_t> ResultUnique(Problems.size());
   std::vector<size_t> UniqueToInput;
   std::unordered_map<uint64_t, size_t> UniqueOf;
   for (size_t I = 0; I < Problems.size(); ++I) {
-    // Same accepted hash-collision tradeoff as the pipeline cache above.
-    Keys[I] = mix(Salt, hashProblem(*Problems[I]));
-    if (const AllocationResult *Hit = ProblemCache.find(Keys[I])) {
-      Results[I] = *Hit;
-      ++ProblemHits;
-      continue;
-    }
-    auto Known = UniqueOf.find(Keys[I]);
-    if (Known != UniqueOf.end()) {
-      ResultUnique[I] = Known->second;
-      ++ProblemHits;
-    } else {
-      ResultUnique[I] = UniqueToInput.size();
-      UniqueOf.emplace(Keys[I], UniqueToInput.size());
+    auto [Slot, New] =
+        UniqueOf.emplace(hashProblem(*Problems[I]), UniqueToInput.size());
+    if (New)
       UniqueToInput.push_back(I);
-      ++ProblemMisses;
-    }
+    ResultUnique[I] = Slot->second;
   }
 
   std::vector<AllocationResult> Unique(UniqueToInput.size());
@@ -686,10 +605,8 @@ BatchDriver::solveProblems(const std::vector<const AllocationProblem *> &Problem
     Unique[U] = A->allocateProblem(P, WS);
   });
 
+  std::vector<AllocationResult> Results(Problems.size());
   for (size_t I = 0; I < Problems.size(); ++I)
-    if (ResultUnique[I] != ~size_t(0))
-      Results[I] = Unique[ResultUnique[I]];
-  for (size_t U = 0; U < UniqueToInput.size(); ++U)
-    ProblemCache.insert(Keys[UniqueToInput[U]], std::move(Unique[U]));
+    Results[I] = Unique[ResultUnique[I]];
   return Results;
 }

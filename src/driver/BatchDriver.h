@@ -77,7 +77,10 @@ struct BatchJob {
   /// solves without managing it (incompatible structure, or no such base)
   /// counts as a delta fallback.  RetainKey != 0: retain the round-0
   /// artifacts of this job's first task under that key for future deltas.
-  /// At most one of the two may be set; both are designed for the
+  /// Capture rides on the task's solve, so when the key is not yet
+  /// registered that task is always solved -- never served from the
+  /// memory cache or the outcome store (its outcome is the same either
+  /// way).  At most one of the two may be set; both are designed for the
   /// single-function jobs the JIT/server resubmission path builds.
   /// Neither enters the task content hash -- delta solves are byte-equal
   /// to full solves, so cached outcomes stay shared either way.
@@ -129,10 +132,10 @@ struct JobReport {
   double WallMsMax = 0;
   /// Per-phase *self*-time breakdown over this job's solved tasks, indexed
   /// by Phase (kNumPhases entries) -- summing PhaseMs reconstructs the
-  /// solve wall time without double counting.  Populated only when phase
-  /// accounting (obs::setPhaseAccounting) was on during run(); empty
-  /// otherwise.  Timing fields: excluded from determinism comparisons and
-  /// from --no-timing reports.
+  /// solve wall time without double counting.  Populated only when global
+  /// phase accounting (obs::setPhaseAccounting) was on when run() began;
+  /// empty otherwise.  Timing fields: excluded from determinism
+  /// comparisons and from --no-timing reports.
   std::vector<double> PhaseMs;
   std::vector<uint64_t> PhaseCount;
 };
@@ -147,10 +150,10 @@ struct DriverReport {
   double WallMs = 0;           ///< Whole-batch wall clock.  Timing field.
 };
 
-/// Lifetime counters of one BatchDriver cache (pipeline or problem side).
-/// Cumulative across run()/solveProblems() calls; the allocation server
-/// surfaces them through its `stats` request, and `layra-bench
-/// --workspace-stats` prints them alongside the arena accounting.
+/// Lifetime counters of one BatchDriver's pipeline-outcome cache.
+/// Cumulative across run() calls; the allocation server surfaces them
+/// through its `stats` request, and `layra-bench --workspace-stats`
+/// prints them alongside the arena accounting.
 struct DriverCacheCounters {
   uint64_t Hits = 0;      ///< Tasks served from the cache or a batch twin.
   uint64_t Misses = 0;    ///< Tasks that required a solve.
@@ -204,16 +207,11 @@ public:
 /// excluded, so two structurally identical functions hash equal.
 uint64_t hashFunction(const Function &F);
 
-/// Cache key of one pipeline task: hashFunction(F) mixed with the target
-/// cost model, the register budgets and every PipelineOptions field.
-/// Single-class keys are unchanged from the scalar era (extra class
-/// budgets are mixed only when present).
-uint64_t hashPipelineTask(const Function &F, const TargetDesc &Target,
-                          unsigned NumRegisters,
-                          const PipelineOptions &Options);
-
-/// Same key from a precomputed hashFunction(F) value; lets a register
-/// sweep hash each function's IR once instead of once per job.
+/// Cache key of one pipeline task: \p FunctionHash (hashFunction(F),
+/// computed once per function across a register sweep) mixed with the
+/// target cost model, the register budgets and every PipelineOptions
+/// field.  Single-class keys are unchanged from the scalar era (extra
+/// class budgets are mixed only when present).
 uint64_t hashPipelineTask(uint64_t FunctionHash, const TargetDesc &Target,
                           unsigned NumRegisters,
                           const PipelineOptions &Options);
@@ -250,8 +248,10 @@ public:
   ///
   /// \p PhaseSink is the per-call span sink for request-scoped tracing:
   /// when non-null it is filled with one PhaseTotals per job (net of
-  /// cache hits and batch duplicates, like JobReport::PhaseMs), turning
-  /// phase accounting on for just this call if it was globally off.
+  /// cache hits and batch duplicates, like JobReport::PhaseMs).  Phase
+  /// accounting is switched on only on the threads running this call's
+  /// tasks, for the duration of each task (obs::ScopedPhaseAccounting),
+  /// so concurrent runs on other drivers neither see nor lose spans.
   /// The sink never changes the report: JobReport::PhaseMs stays
   /// populated only when accounting was already enabled globally, so a
   /// traced request's report bytes match an untraced one's.
@@ -261,30 +261,27 @@ public:
 
   /// Lower-level batch entry used by the figure harness: solves every
   /// problem with allocator \p AllocatorName in parallel and returns the
-  /// results in input order.  Duplicate instances (by content hash) are
-  /// solved once.  \p OptimalNodeLimit bounds the "optimal"
-  /// branch-and-bound search (always honored for that allocator, zero
-  /// meaning a zero node budget; the default matches OptimalBnBAllocator's
-  /// own); other allocators ignore it.
+  /// results in input order.  Duplicate instances within the call (by
+  /// content hash) are solved once; nothing is memoized across calls.
+  /// \p OptimalNodeLimit bounds the "optimal" branch-and-bound search
+  /// (always honored for that allocator, zero meaning a zero node budget;
+  /// 50'000'000 matches OptimalBnBAllocator's default); other allocators
+  /// ignore it.
   ///
   /// The allocator name and allocator-vs-problem compatibility (the
   /// linear-scan family needs AllocationProblem::Intervals) are validated
-  /// up front on the calling thread.  With \p Error non-null a violation
-  /// returns an empty vector with \p Error set to the diagnostic; with the
-  /// default null it remains fatal -- but always before any pool worker
-  /// starts.
+  /// up front on the calling thread: a violation returns an empty vector
+  /// with \p Error set to the diagnostic, before any pool worker starts.
+  /// \p Error is cleared on success.
   std::vector<AllocationResult>
   solveProblems(const std::vector<const AllocationProblem *> &Problems,
-                const std::string &AllocatorName,
-                uint64_t OptimalNodeLimit = 50'000'000,
-                std::string *Error = nullptr);
+                const std::string &AllocatorName, uint64_t OptimalNodeLimit,
+                std::string &Error);
 
   /// Number of memoized pipeline outcomes.
   size_t pipelineCacheSize() const { return PipelineCache.size(); }
-  /// Number of memoized problem results (solveProblems side).
-  size_t problemCacheSize() const { return ProblemCache.size(); }
 
-  /// Bounds both content-hash caches to \p MaxEntries each, evicting the
+  /// Bounds the pipeline-outcome cache to \p MaxEntries, evicting the
   /// least recently used overflow immediately.  0 (the default) removes the
   /// bound.  Recency updates and evictions happen only in the serial
   /// classification/commit phases, so eviction order -- and with it every
@@ -303,8 +300,6 @@ public:
 
   /// Lifetime hit/miss/eviction counters of the pipeline-outcome cache.
   DriverCacheCounters pipelineCacheCounters() const;
-  /// Lifetime hit/miss/eviction counters of the problem-result cache.
-  DriverCacheCounters problemCacheCounters() const;
 
   /// Bounds the base-function registry to \p MaxBases retained bases
   /// (LRU eviction; 0 removes the bound).  Bases are O(function + graph)
@@ -333,24 +328,17 @@ private:
   /// hashPipelineTask key -> outcome.  Touched only from the serial
   /// expansion/commit phases, never from pool workers.
   LruCache<uint64_t, TaskOutcome> PipelineCache;
-  /// hashProblem+allocator key -> result, for solveProblems.  Entries are
-  /// retained until evicted by the capacity bound (unbounded by default) so
-  /// a (problem, allocator, R) pair recurring in a later call is free; the
-  /// cost is O(vertices) bytes per unique instance, a few MB across the
-  /// largest figure sweep.  Callers for whom that never pays can simply use
-  /// a shorter-lived driver.
-  LruCache<uint64_t, AllocationResult> ProblemCache;
   /// Optional persistence layer under PipelineCache (not owned).
   TaskOutcomeStore *OutcomeStore = nullptr;
   /// Base-function registry: RetainKey -> retained round-0 artifacts.
   /// shared_ptr so an in-flight run's base survives an eviction the same
-  /// run's phase-4 inserts trigger.  Touched only from the serial
-  /// expansion/commit phases, so recency and eviction order -- and with
-  /// them which deltas hit -- are deterministic across thread counts.
+  /// run's phase-4 inserts trigger, and so one capture can be registered
+  /// under several keys.  Touched only from the serial expansion/commit
+  /// phases, so recency and eviction order -- and with them which deltas
+  /// hit -- are deterministic across thread counts.
   LruCache<uint64_t, std::shared_ptr<const DeltaBase>> BaseRegistry;
   /// Lifetime hit/miss tallies (the caches themselves track evictions).
   uint64_t PipelineHits = 0, PipelineMisses = 0;
-  uint64_t ProblemHits = 0, ProblemMisses = 0;
   uint64_t DeltaHits = 0, DeltaFallbacks = 0;
 };
 

@@ -16,6 +16,7 @@
 #include "driver/BatchDriver.h"
 #include "driver/ReportIO.h"
 #include "ir/Parser.h"
+#include "ir/SsaBuilder.h"
 #include "obs/EventLog.h"
 #include "obs/RequestTrace.h"
 #include "obs/Trace.h"
@@ -390,7 +391,9 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
 }
 
 /// The allocation server's submit_ir response must be byte-identical to
-/// a direct fresh BatchDriver run of the same single-function suite.
+/// a direct fresh BatchDriver run of the same single-function suite, and
+/// that run's outcome must equal the pipeline run on the submitted SSA
+/// function itself.
 OracleOutcome checkServeDirect(const OracleContext &Ctx) {
   if (!Ctx.ServeClient)
     return {}; // Oracle disabled (no in-process server).
@@ -417,13 +420,37 @@ OracleOutcome checkServeDirect(const OracleContext &Ctx) {
   Suite S = singleFunctionSuite(Parsed.F, "submitted");
   std::vector<BatchJob> Jobs = singleJob(S, *Ctx.Target, Ctx.Case->Budgets);
   BatchDriver Direct(Ctx.ServeThreads);
+  DriverReport Report = Direct.run(Jobs);
   std::string DirectJson =
-      driverReportToJson(Direct.run(Jobs), /*IncludeTiming=*/false,
+      driverReportToJson(Report, /*IncludeTiming=*/false,
                          /*IncludeTasks=*/true)
           .dump(2) +
       "\n";
   if (Response != DirectJson)
     return fail("server response differs from a direct driver run");
+
+  // Server and direct run share the driver, so a driver defect (such as
+  // re-converting SSA input) passes the byte comparison on both sides;
+  // anchor the outcome to the pipeline on the SSA function itself.  Input
+  // with phis is solved as submitted: the re-parsed text, whose values the
+  // first parse renumbers by textual order (solver tie-breaks follow value
+  // ids).  Phi-free input still passes SSA construction, which renumbers
+  // it back into the dominator-tree order *Ctx.Ssa was built with.
+  const Function &Submitted = S.Programs[0].Functions[0];
+  const JobReport &JR = Report.Jobs[0];
+  PipelineResult Ref = runAllocationPipeline(
+      hasPhis(Submitted) ? Submitted : *Ctx.Ssa, *Ctx.Target, JR.Job.Budgets,
+      Jobs[0].Options, Ctx.WS);
+  const TaskOutcome &Out = JR.Tasks[0].Out;
+  if (Out.SpillCost != Ref.TotalSpillCost ||
+      Out.NumLoads != Ref.Spills.NumLoads ||
+      Out.NumStores != Ref.Spills.NumStores ||
+      Out.LoadsFolded != Ref.LoadsFolded || Out.Rounds != Ref.Rounds ||
+      Out.FinalMaxLive != Ref.FinalMaxLive || Out.Fits != Ref.Fits)
+    return fail("driver outcome differs from the pipeline run on the SSA "
+                "function (spill cost " +
+                std::to_string(Out.SpillCost) + " vs " +
+                std::to_string(Ref.TotalSpillCost) + ")");
   return {};
 }
 

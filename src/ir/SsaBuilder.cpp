@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 using namespace layra;
@@ -75,7 +76,6 @@ static void renameBlock(RenameState &S, BlockId B) {
     Instruction NewInstr;
     NewInstr.Op = OldInstr.Op;
     NewInstr.SpillSlot = OldInstr.SpillSlot;
-    assert(!OldInstr.isPhi() && "input to SSA construction already has phis");
     for (ValueId V : OldInstr.Uses) {
       ValueId Def = S.reachingDef(V);
       assert(Def != kNoValue && "use before any def; generator bug?");
@@ -115,9 +115,29 @@ static void renameBlock(RenameState &S, BlockId B) {
     S.Stack[PushedVars[I]].pop_back();
 }
 
+bool layra::hasPhis(const Function &F) {
+  for (const BasicBlock &BB : F.blocks())
+    for (const Instruction &I : BB.Instrs)
+      if (I.isPhi())
+        return true;
+  return false;
+}
+
 SsaConversion layra::convertToSsa(const Function &F) {
   assert(verifyFunction(F) && "convertToSsa requires a verified function");
   SsaConversion Out;
+
+  // Phis exist only in SSA form, so such input is already converted:
+  // renaming it again would read each phi operand with the phi block's own
+  // reaching definitions and break loop-carried values.
+  if (hasPhis(F)) {
+    assert(verifyFunction(F, /*ExpectSsa=*/true) &&
+           "input with phis must already be strict SSA");
+    Out.Ssa = F;
+    Out.OriginalOf.resize(F.numValues());
+    std::iota(Out.OriginalOf.begin(), Out.OriginalOf.end(), ValueId(0));
+    return Out;
+  }
   Out.Ssa = Function(F.name());
 
   // Clone the CFG skeleton (blocks, names, frequencies, edges).

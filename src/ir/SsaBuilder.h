@@ -35,11 +35,19 @@ struct SsaConversion {
 
 /// Converts \p F (any verified function) to pruned SSA form.
 ///
-/// Block structure and edges are preserved (same BlockIds, same order);
+/// Input that already contains a phi is taken to be in SSA form (it must
+/// satisfy verifyFunction(F, /*ExpectSsa=*/true); asserted) and comes back
+/// unchanged, with identity OriginalOf and NumPhis = 0 -- this is how IR
+/// submitted in SSA form is solved as given.  Phi-free input is converted:
+/// block structure and edges are preserved (same BlockIds, same order);
 /// every value is renamed.  Uses reached by no definition become kNoValue
 /// phi operands (our generators never produce such paths; hand-written IR
 /// may).  The result satisfies verifyFunction(Ssa, /*ExpectSsa=*/true).
 SsaConversion convertToSsa(const Function &F);
+
+/// True when some instruction of \p F is a phi (convertToSsa then returns
+/// \p F unchanged).
+bool hasPhis(const Function &F);
 
 } // namespace layra
 

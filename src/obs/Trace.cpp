@@ -27,6 +27,7 @@ const char *phaseName(Phase P) { return PhaseNames[unsigned(P)]; }
 namespace obs {
 
 std::atomic<uint32_t> Flags{0};
+thread_local uint32_t ThreadFlags = 0;
 
 void setPhaseAccounting(bool Enabled) {
   if (Enabled)
@@ -71,7 +72,7 @@ HistogramId phaseHistId(Phase P) {
 const PhaseTotals &threadPhaseTotals() { return ThreadTotals; }
 
 void addSpillRound() {
-  if (!phaseAccountingEnabled())
+  if (!(activeFlags() & kPhaseAccounting))
     return;
   static const CounterId Id =
       MetricsRegistry::global().counter("layra.pipeline.spill_rounds");
@@ -79,7 +80,7 @@ void addSpillRound() {
 }
 
 void addDpStates(uint64_t Visited) {
-  if (!phaseAccountingEnabled())
+  if (!(activeFlags() & kPhaseAccounting))
     return;
   static const CounterId Id =
       MetricsRegistry::global().counter("layra.dp.states_visited");

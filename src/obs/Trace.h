@@ -82,32 +82,58 @@ struct PhaseTotals {
 
 namespace obs {
 
-/// Global observability switches, checked on every span with one relaxed
-/// load.  Zero means every instrumentation point is a no-op.
+/// Observability switches, checked on every span with one relaxed load
+/// of the process-wide word plus one read of the calling thread's word.
+/// Zero means every instrumentation point is a no-op.
 enum : uint32_t {
   kTraceEvents = 1u << 0,     ///< Buffer spans into TraceCollector.
   kPhaseAccounting = 1u << 1, ///< Accumulate PhaseTotals + phase metrics.
 };
 
+/// Process-wide switches (setPhaseAccounting, TraceCollector::enable).
 extern std::atomic<uint32_t> Flags;
+/// The calling thread's additions (ScopedPhaseAccounting).
+extern thread_local uint32_t ThreadFlags;
 
 inline uint32_t activeFlags() {
-  return Flags.load(std::memory_order_relaxed);
+  return Flags.load(std::memory_order_relaxed) | ThreadFlags;
 }
 
+/// True when process-wide phase accounting is on.  Per-thread scopes do
+/// not count: this is the switch report-visible breakdowns follow.
 inline bool phaseAccountingEnabled() {
-  return (activeFlags() & kPhaseAccounting) != 0;
+  return (Flags.load(std::memory_order_relaxed) & kPhaseAccounting) != 0;
 }
 
-/// Turns phase accounting (PhaseTotals + per-stage histograms + stage
-/// counters) on or off.  Tracing is controlled by TraceCollector::enable.
+/// Turns process-wide phase accounting (PhaseTotals + per-stage
+/// histograms + stage counters) on or off.  Tracing is controlled by
+/// TraceCollector::enable.
 void setPhaseAccounting(bool Enabled);
+
+/// RAII scope turning phase accounting on for the calling thread only
+/// (when \p Enable), restoring the thread's previous state on exit.  The
+/// batch driver wraps each task of a run that has a per-call phase sink in
+/// one, so concurrent runs never switch each other's accounting.
+class ScopedPhaseAccounting {
+public:
+  explicit ScopedPhaseAccounting(bool Enable) : Saved(ThreadFlags) {
+    if (Enable)
+      ThreadFlags |= kPhaseAccounting;
+  }
+  ~ScopedPhaseAccounting() { ThreadFlags = Saved; }
+  ScopedPhaseAccounting(const ScopedPhaseAccounting &) = delete;
+  ScopedPhaseAccounting &operator=(const ScopedPhaseAccounting &) = delete;
+
+private:
+  const uint32_t Saved;
+};
 
 /// The calling thread's accumulated phase totals (monotone; the driver
 /// snapshots before/after a task and works with the delta).
 const PhaseTotals &threadPhaseTotals();
 
-/// Stage counters, all no-ops unless phase accounting is on.
+/// Stage counters, all no-ops unless phase accounting is on (process-wide
+/// or for the calling thread).
 void addSpillRound();
 void addDpStates(uint64_t Visited);
 
@@ -117,7 +143,8 @@ void spanEnd();
 } // namespace obs
 
 /// RAII scope marking one solver stage.  Constructing with observability
-/// disabled costs one atomic load and a not-taken branch.
+/// disabled costs one atomic load, one thread-local read and a not-taken
+/// branch.
 class PhaseSpan {
 public:
   explicit PhaseSpan(Phase P) : Mode(obs::activeFlags()) {

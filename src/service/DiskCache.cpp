@@ -31,7 +31,7 @@ constexpr uint32_t kFormatVersion = 1;
 /// Bump when the solver's outcome semantics change: any alteration to
 /// what TaskOutcome fields mean for a given key invalidates every
 /// persisted entry.
-constexpr const char *kSolverRevision = "layra-solver/2026-08";
+constexpr const char *kSolverRevision = "layra-solver/2026-10";
 
 // Header:  magic(4) version(4) revision(8) key(8)
 // Payload: spill_cost(8,i64) loads(4) stores(4) folded(4) rounds(4)

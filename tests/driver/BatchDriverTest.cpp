@@ -14,9 +14,15 @@
 #include "ir/Dominators.h"
 #include "ir/LoopInfo.h"
 #include "ir/ProgramGen.h"
+#include "ir/SsaBuilder.h"
+#include "obs/Trace.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <thread>
 
 using namespace layra;
 
@@ -156,14 +162,15 @@ TEST(BatchDriverTest, HashDistinguishesInstancesButIgnoresNames) {
   const Function &G = S.Programs[0].Functions[1];
 
   PipelineOptions Opt;
-  uint64_t Base = hashPipelineTask(F, ST231, 4, Opt);
-  EXPECT_EQ(Base, hashPipelineTask(F, ST231, 4, Opt));
-  EXPECT_NE(Base, hashPipelineTask(G, ST231, 4, Opt));
-  EXPECT_NE(Base, hashPipelineTask(F, ST231, 5, Opt));
-  EXPECT_NE(Base, hashPipelineTask(F, ARMv7, 4, Opt));
+  const uint64_t HF = hashFunction(F), HG = hashFunction(G);
+  uint64_t Base = hashPipelineTask(HF, ST231, 4, Opt);
+  EXPECT_EQ(Base, hashPipelineTask(HF, ST231, 4, Opt));
+  EXPECT_NE(Base, hashPipelineTask(HG, ST231, 4, Opt));
+  EXPECT_NE(Base, hashPipelineTask(HF, ST231, 5, Opt));
+  EXPECT_NE(Base, hashPipelineTask(HF, ARMv7, 4, Opt));
   PipelineOptions NoFold = Opt;
   NoFold.FoldMemoryOperands = false;
-  EXPECT_NE(Base, hashPipelineTask(F, ST231, 4, NoFold));
+  EXPECT_NE(Base, hashPipelineTask(HF, ST231, 4, NoFold));
 
   // Renaming values does not change the structural hash.
   Function Renamed = F;
@@ -181,7 +188,10 @@ TEST(BatchDriverTest, SolveProblemsMatchesDirectAllocation) {
 
   BatchDriver Driver(4);
   for (const char *Name : {"bfpl", "gc", "lh"}) {
-    std::vector<AllocationResult> Batch = Driver.solveProblems(Ptrs, Name);
+    std::string Error;
+    std::vector<AllocationResult> Batch =
+        Driver.solveProblems(Ptrs, Name, 0, Error);
+    EXPECT_TRUE(Error.empty()) << Error;
     ASSERT_EQ(Batch.size(), Problems.size());
     for (size_t I = 0; I < Problems.size(); ++I) {
       AllocationResult Direct = makeAllocator(Name)->allocate(Problems[I].P);
@@ -189,7 +199,6 @@ TEST(BatchDriverTest, SolveProblemsMatchesDirectAllocation) {
       EXPECT_EQ(Batch[I].Allocated, Direct.Allocated) << Name;
     }
   }
-  EXPECT_GT(Driver.problemCacheSize(), 0u);
 }
 
 TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
@@ -202,7 +211,7 @@ TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
   BatchDriver Driver(2);
   std::string Error;
   std::vector<AllocationResult> Out =
-      Driver.solveProblems(Ptrs, "not-an-allocator", 0, &Error);
+      Driver.solveProblems(Ptrs, "not-an-allocator", 0, Error);
   EXPECT_TRUE(Out.empty());
   EXPECT_NE(Error.find("unknown allocator"), std::string::npos) << Error;
   EXPECT_NE(Error.find("not-an-allocator"), std::string::npos) << Error;
@@ -212,7 +221,7 @@ TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
   // The same driver is still usable afterwards.
   Error.clear();
   std::vector<AllocationResult> Good =
-      Driver.solveProblems(Ptrs, "bfpl", 0, &Error);
+      Driver.solveProblems(Ptrs, "bfpl", 0, Error);
   EXPECT_TRUE(Error.empty()) << Error;
   EXPECT_EQ(Good.size(), Problems.size());
 }
@@ -234,7 +243,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   for (const char *Name : {"ls", "bls"}) {
     std::string Error;
     std::vector<AllocationResult> Out =
-        Driver.solveProblems(Ptrs, Name, 0, &Error);
+        Driver.solveProblems(Ptrs, Name, 0, Error);
     EXPECT_TRUE(Out.empty()) << Name;
     EXPECT_NE(Error.find("requires live intervals"), std::string::npos)
         << Name << ": " << Error;
@@ -242,7 +251,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   // Graph-based allocators remain fine on the same input.
   std::string Error;
   std::vector<AllocationResult> Out =
-      Driver.solveProblems(Ptrs, "bfpl", 0, &Error);
+      Driver.solveProblems(Ptrs, "bfpl", 0, Error);
   EXPECT_TRUE(Error.empty()) << Error;
   ASSERT_EQ(Out.size(), 1u);
 }
@@ -285,28 +294,28 @@ TEST(BatchDriverTest, CacheCapacityBoundsEntriesAndCountsEvictions) {
   EXPECT_EQ(Driver.pipelineCacheSize(), 2u);
 }
 
-TEST(BatchDriverTest, BoundedProblemCacheStillMatchesDirectAllocation) {
+TEST(BatchDriverTest, SolveProblemsSharesDuplicatesWithinACall) {
   Suite S = tinySuite(5, 31);
   std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 4);
+  // Every instance twice, interleaved: each twin must get its original's
+  // result, in input order.
   std::vector<const AllocationProblem *> Ptrs;
   for (const NamedProblem &P : Problems)
     Ptrs.push_back(&P.P);
+  for (const NamedProblem &P : Problems)
+    Ptrs.push_back(&P.P);
 
-  // Capacity 1 forces evictions within a single call; results must still
-  // land correctly because they are copied before the cache commit.
   BatchDriver Driver(2);
-  Driver.setCacheCapacity(1);
-  std::vector<AllocationResult> Batch = Driver.solveProblems(Ptrs, "bfpl");
-  std::vector<AllocationResult> Again = Driver.solveProblems(Ptrs, "bfpl");
-  ASSERT_EQ(Batch.size(), Problems.size());
-  for (size_t I = 0; I < Problems.size(); ++I) {
-    AllocationResult Direct = makeAllocator("bfpl")->allocate(Problems[I].P);
+  std::string Error;
+  std::vector<AllocationResult> Batch =
+      Driver.solveProblems(Ptrs, "bfpl", 0, Error);
+  EXPECT_TRUE(Error.empty()) << Error;
+  ASSERT_EQ(Batch.size(), Ptrs.size());
+  for (size_t I = 0; I < Ptrs.size(); ++I) {
+    AllocationResult Direct = makeAllocator("bfpl")->allocate(*Ptrs[I]);
     EXPECT_EQ(Batch[I].SpillCost, Direct.SpillCost);
     EXPECT_EQ(Batch[I].Allocated, Direct.Allocated);
-    EXPECT_EQ(Again[I].SpillCost, Direct.SpillCost);
   }
-  EXPECT_EQ(Driver.problemCacheSize(), 1u);
-  EXPECT_GT(Driver.problemCacheCounters().Evictions, 0u);
 }
 
 TEST(BatchDriverTest, TransparentReportsAreIdenticalHoweverWarmTheCache) {
@@ -388,4 +397,173 @@ TEST(BatchDriverTest, ReportSerializersProduceParseableShapes) {
   for (char C : TasksCsv)
     Lines += C == '\n' ? 1 : 0;
   EXPECT_EQ(Lines, 1u + 3u);
+}
+
+TEST(BatchDriverTest, SsaInputWithLoopPhisSolvesLikeTheDirectPipeline) {
+  // IR that is already in SSA form (what submit_ir carries) must be solved
+  // as given: the driver's outcome equals the pipeline run on that very
+  // function, loop-carried phi operands intact.
+  Suite Raw = tinySuite(6, 5);
+  Suite S;
+  S.Name = "ssa";
+  SuiteProgram Prog;
+  Prog.Name = "prog";
+  unsigned WithPhis = 0;
+  for (const Function &F : Raw.Programs[0].Functions) {
+    SsaConversion Conv = convertToSsa(F);
+    WithPhis += Conv.NumPhis > 0 ? 1 : 0;
+    Prog.Functions.push_back(std::move(Conv.Ssa));
+  }
+  ASSERT_GT(WithPhis, 0u) << "no phi-bearing function to exercise";
+  S.Programs.push_back(std::move(Prog));
+
+  BatchJob Job;
+  Job.SuiteName = "ssa";
+  Job.SuiteData = &S;
+  Job.NumRegisters = 3;
+  BatchDriver Driver(2);
+  DriverReport Report = Driver.run({Job});
+  const std::vector<Function> &Fns = S.Programs[0].Functions;
+  ASSERT_EQ(Report.Jobs[0].Tasks.size(), Fns.size());
+  for (size_t I = 0; I < Fns.size(); ++I) {
+    PipelineResult Direct = runAllocationPipeline(Fns[I], ST231, 3);
+    const TaskOutcome &Out = Report.Jobs[0].Tasks[I].Out;
+    EXPECT_EQ(Out.SpillCost, Direct.TotalSpillCost) << Fns[I].name();
+    EXPECT_EQ(Out.NumLoads, Direct.Spills.NumLoads) << Fns[I].name();
+    EXPECT_EQ(Out.NumStores, Direct.Spills.NumStores) << Fns[I].name();
+    EXPECT_EQ(Out.Rounds, Direct.Rounds) << Fns[I].name();
+    EXPECT_EQ(Out.FinalMaxLive, Direct.FinalMaxLive) << Fns[I].name();
+    EXPECT_EQ(Out.Fits, Direct.Fits) << Fns[I].name();
+  }
+}
+
+TEST(BatchDriverTest, RetainedTaskRegistersItsBaseEvenWhenCached) {
+  Suite S = tinySuite(1, 61);
+  BatchJob Job;
+  Job.SuiteName = "tiny";
+  Job.SuiteData = &S;
+  Job.NumRegisters = 3;
+  auto Serialize = [](const DriverReport &R) {
+    return driverReportToJson(R, /*IncludeTiming=*/false,
+                              /*IncludeTasks=*/true)
+        .dump();
+  };
+
+  BatchDriver Driver(2);
+  std::string Plain = Serialize(Driver.run({Job}, /*CacheTransparent=*/true));
+  ASSERT_EQ(Driver.pipelineCacheSize(), 1u);
+
+  // Two jobs retaining the same (already cached) instance under two keys:
+  // one solve captures, and the capture is registered under both keys.
+  BatchJob RetainA = Job, RetainB = Job;
+  RetainA.RetainKey = 0xA;
+  RetainB.RetainKey = 0xB;
+  DriverReport Both = Driver.run({RetainA, RetainB}, /*CacheTransparent=*/true);
+  EXPECT_TRUE(Driver.hasBase(0xA));
+  EXPECT_TRUE(Driver.hasBase(0xB));
+  EXPECT_EQ(Driver.deltaCounters().Bases, 2u);
+  // Transparent bytes do not show the extra solve.
+  DriverReport Single = Driver.run({Job}, /*CacheTransparent=*/true);
+  EXPECT_EQ(Serialize(Single), Plain);
+  ASSERT_EQ(Both.Jobs.size(), 2u);
+  EXPECT_FALSE(Both.Jobs[0].Tasks[0].CacheHit);
+  EXPECT_TRUE(Both.Jobs[1].Tasks[0].CacheHit);
+
+  // The warm-cache view shows the retained task as the solve it was.
+  BatchJob RetainC = Job;
+  RetainC.RetainKey = 0xC;
+  DriverReport Warm = Driver.run({RetainC});
+  EXPECT_TRUE(Driver.hasBase(0xC));
+  EXPECT_FALSE(Warm.Jobs[0].Tasks[0].CacheHit);
+  EXPECT_EQ(Warm.Jobs[0].TotalSpillCost, Single.Jobs[0].TotalSpillCost);
+  // An already-registered key needs no capture: plain cache hit.
+  DriverReport Again = Driver.run({RetainC});
+  EXPECT_TRUE(Again.Jobs[0].Tasks[0].CacheHit);
+}
+
+TEST(BatchDriverTest, RetainedTaskBesideAStoreHitCommitsOnce) {
+  // The retained task skips the lookups and solves; a plain twin later in
+  // the same run loads the same key from the outcome store.  Phase 4 sees
+  // the key twice and must commit it once.
+  struct MapStore : TaskOutcomeStore {
+    std::map<uint64_t, TaskOutcome> Entries;
+    bool lookup(uint64_t Key, TaskOutcome &Out) override {
+      auto It = Entries.find(Key);
+      if (It == Entries.end())
+        return false;
+      Out = It->second;
+      return true;
+    }
+    void store(uint64_t Key, const TaskOutcome &Out) override {
+      Entries[Key] = Out;
+    }
+  } Store;
+  Suite S = tinySuite(1, 62);
+  BatchJob Job;
+  Job.SuiteName = "tiny";
+  Job.SuiteData = &S;
+  Job.NumRegisters = 3;
+
+  BatchDriver Cold(1);
+  Cold.setOutcomeStore(&Store);
+  DriverReport Plain = Cold.run({Job}, /*CacheTransparent=*/true);
+  ASSERT_EQ(Store.Entries.size(), 1u);
+
+  BatchDriver Warm(1);
+  Warm.setOutcomeStore(&Store);
+  BatchJob Retain = Job;
+  Retain.RetainKey = 0xD;
+  DriverReport R = Warm.run({Retain, Job}, /*CacheTransparent=*/true);
+  EXPECT_TRUE(Warm.hasBase(0xD));
+  EXPECT_EQ(Warm.pipelineCacheSize(), 1u);
+  ASSERT_EQ(R.Jobs.size(), 2u);
+  EXPECT_EQ(R.Jobs[0].TotalSpillCost, Plain.Jobs[0].TotalSpillCost);
+  EXPECT_EQ(R.Jobs[1].TotalSpillCost, Plain.Jobs[0].TotalSpillCost);
+  // A third run is a plain memory-cache hit with the cache intact.
+  DriverReport Again = Warm.run({Job});
+  EXPECT_TRUE(Again.Jobs[0].Tasks[0].CacheHit);
+  EXPECT_EQ(Warm.pipelineCacheSize(), 1u);
+}
+
+TEST(BatchDriverTest, PhaseSinkLeavesConcurrentRunsAlone) {
+  // One thread runs drivers with a per-call phase sink, another runs
+  // drivers without one.  The sink must see every solved task's pipeline
+  // span, and the sinkless reports must never grow phase breakdowns.
+  ASSERT_FALSE(obs::phaseAccountingEnabled());
+  Suite S = tinySuite(8, 55);
+  BatchJob Job;
+  Job.SuiteName = "tiny";
+  Job.SuiteData = &S;
+  Job.NumRegisters = 3;
+
+  constexpr int kRounds = 20;
+  std::atomic<unsigned> SinkMismatches{0}, LeakedBreakdowns{0};
+  std::thread Traced([&] {
+    for (int Round = 0; Round < kRounds; ++Round) {
+      BatchDriver Driver(2);
+      std::vector<PhaseTotals> Sink;
+      DriverReport R = Driver.run({Job}, /*CacheTransparent=*/false, &Sink);
+      uint64_t Solved = 0;
+      for (const TaskResult &T : R.Jobs[0].Tasks)
+        Solved += T.CacheHit ? 0 : 1;
+      if (Sink.size() != 1 ||
+          Sink[0].Count[unsigned(Phase::Pipeline)] != Solved)
+        ++SinkMismatches;
+      if (!R.Jobs[0].PhaseMs.empty())
+        ++LeakedBreakdowns;
+    }
+  });
+  std::thread Plain([&] {
+    for (int Round = 0; Round < kRounds; ++Round) {
+      BatchDriver Driver(2);
+      DriverReport R = Driver.run({Job});
+      if (!R.Jobs[0].PhaseMs.empty() || !R.Jobs[0].PhaseCount.empty())
+        ++LeakedBreakdowns;
+    }
+  });
+  Traced.join();
+  Plain.join();
+  EXPECT_EQ(SinkMismatches.load(), 0u);
+  EXPECT_EQ(LeakedBreakdowns.load(), 0u);
+  EXPECT_FALSE(obs::phaseAccountingEnabled());
 }

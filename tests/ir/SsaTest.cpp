@@ -157,3 +157,33 @@ TEST(SsaTest, OriginalOfMapsEveryNewValue) {
   for (ValueId V : Conv.OriginalOf)
     EXPECT_LT(V, F.numValues());
 }
+
+TEST(SsaTest, PhiBearingInputComesBackUnchanged) {
+  // Already-SSA input with a loop-carried phi: entry defines i0, the loop
+  // header merges i0 with the back-edge value i2.  A second renaming would
+  // read the back-edge operand with the header's own reaching definitions.
+  Function F("f");
+  BlockId Entry = F.makeBlock(), Loop = F.makeBlock(), Exit = F.makeBlock();
+  F.addEdge(Entry, Loop);
+  F.addEdge(Loop, Loop);
+  F.addEdge(Loop, Exit);
+  ValueId I0 = F.makeValue("i0"), I = F.makeValue("i"),
+          I2 = F.makeValue("i2");
+  op(F, Entry, I0);
+  br(F, Entry, I0);
+  phi(F, Loop, I, {I0, I2});
+  op(F, Loop, I2, {I});
+  br(F, Loop, I2);
+  ret(F, Exit, {I});
+  ASSERT_TRUE(verifyFunction(F, /*ExpectSsa=*/true));
+
+  SsaConversion Conv = convertToSsa(F);
+  EXPECT_EQ(Conv.Ssa.toString(), F.toString());
+  EXPECT_EQ(Conv.NumPhis, 0u);
+  const Instruction &Phi = Conv.Ssa.block(Loop).Instrs.front();
+  ASSERT_TRUE(Phi.isPhi());
+  EXPECT_EQ(Phi.Uses, (std::vector<ValueId>{I0, I2}));
+  ASSERT_EQ(Conv.OriginalOf.size(), F.numValues());
+  for (ValueId V = 0; V < F.numValues(); ++V)
+    EXPECT_EQ(Conv.OriginalOf[V], V);
+}
