@@ -55,11 +55,14 @@
 ///   --trace      write a Chrome-trace-format JSON of every solver phase
 ///                span (load in chrome://tracing or Perfetto); with
 ///                --no-timing the trace uses deterministic sequence
-///                timestamps so it, too, is byte-identical across runs
-///   --metrics    dump the metrics registry (per-stage latency histograms,
-///                stage counters) plus the driver's workspace/cache gauges
-///                in Prometheus text format after the run, to FILE or
-///                stderr
+///                timestamps, so at --threads=1 it is byte-identical
+///                across runs (with more threads, the order in which tasks
+///                land on threads changes from run to run, and the trace
+///                with it)
+///   --metrics    dump the run's per-phase span counts and self times
+///                (layra.phase.<name>.{count,self_ms}) plus the driver's
+///                workspace/cache gauges in Prometheus text format after
+///                the run, to FILE or stderr
 ///   --workspace-stats  print the driver's workspace/cache gauges (arena
 ///                reuse accounting, pipeline-cache hit/miss/eviction
 ///                counts) to stderr; never part of the reports
@@ -419,13 +422,10 @@ int main(int Argc, char **Argv) {
   std::FILE *TasksCsvOut =
       Opt.TasksCsvPath.empty() ? nullptr : openOutput(Opt.TasksCsvPath);
 
-  // Observability: phase accounting feeds phase_ms breakdowns and the
-  // per-stage histograms --metrics dumps; it stays off under plain
-  // --no-timing so the default timing-free path does not even read clocks.
-  if (Opt.Timing || Opt.Metrics || !Opt.TracePath.empty())
-    obs::setPhaseAccounting(true);
-  // A --no-timing trace is deterministic (sequence timestamps): the same
-  // byte-identity contract the reports follow.
+  // A --no-timing trace uses sequence timestamps instead of a clock.  Only
+  // a single-thread run is reproducible byte for byte: with more threads,
+  // which thread solves which task (and so each span's tid and sequence
+  // number) changes from run to run.
   if (!Opt.TracePath.empty())
     TraceCollector::global().enable(/*Deterministic=*/!Opt.Timing);
 
@@ -448,15 +448,23 @@ int main(int Argc, char **Argv) {
   // Timing-free reports are the deterministic documents: they must not
   // depend on how warm any cache layer is (the disk store above makes a
   // warm start possible even in a fresh process).  Timed reports keep
-  // the honest warm-cache view.
-  DriverReport Report = Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing);
+  // the honest warm-cache view.  The run's phase sink feeds the timed
+  // reports' phase_ms breakdowns and --metrics; plain --no-timing passes
+  // none, so the default timing-free path does not even read clocks.
+  std::vector<PhaseTotals> Phases;
+  std::vector<PhaseTotals> *PhaseSink =
+      Opt.Timing || Opt.Metrics ? &Phases : nullptr;
+  DriverReport Report =
+      Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing, PhaseSink);
   // The driver's own workspace/cache accounting as of this run (the graph
   // suite below reuses the driver), as gauges for --workspace-stats and
   // --metrics.  The workspace split is thread-count dependent (per-worker
-  // arenas), hence gauges and never report fields.
+  // arenas), hence gauges and never report fields.  The run's phase
+  // totals, summed over jobs, join them as layra.phase.<name>.* series.
   const WorkspaceStats WS = Driver.workspaceStats();
   const DriverCacheCounters Cache = Driver.pipelineCacheCounters();
-  const std::vector<std::pair<std::string, double>> DriverGauges = {
+  MetricsSnapshot Snap;
+  Snap.Gauges = {
       {"layra.workspace.bytes_reused", double(WS.BytesReused)},
       {"layra.workspace.bytes_allocated", double(WS.BytesAllocated)},
       {"layra.workspace.acquires", double(WS.Acquires)},
@@ -467,6 +475,19 @@ int main(int Argc, char **Argv) {
       {"layra.driver.cache.entries", double(Cache.Entries)},
       {"layra.driver.cache.capacity", double(Cache.Capacity)},
   };
+  if (PhaseSink) {
+    PhaseTotals Sum;
+    for (const PhaseTotals &Job : Phases)
+      for (unsigned P = 0; P < kNumPhases; ++P) {
+        Sum.Ms[P] += Job.Ms[P];
+        Sum.Count[P] += Job.Count[P];
+      }
+    for (unsigned P = 0; P < kNumPhases; ++P) {
+      std::string Name = std::string("layra.phase.") + phaseName(Phase(P));
+      Snap.Counters.push_back({Name + ".count", Sum.Count[P]});
+      Snap.Gauges.push_back({Name + ".self_ms", Sum.Ms[P]});
+    }
+  }
 
   if (!Opt.TracePath.empty()) {
     TraceCollector &TC = TraceCollector::global();
@@ -540,9 +561,6 @@ int main(int Argc, char **Argv) {
   if (Opt.WorkspaceStats || Opt.Metrics) {
     // Stderr (unless --metrics=FILE), so a report streamed to stdout stays
     // parseable.
-    MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
-    Snap.Gauges.insert(Snap.Gauges.end(), DriverGauges.begin(),
-                       DriverGauges.end());
     if (Opt.WorkspaceStats) {
       std::fputs(Snap.toText("layra.workspace.").c_str(), stderr);
       std::fputs(Snap.toText("layra.driver.cache.").c_str(), stderr);
@@ -560,11 +578,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (JsonOut) {
-    writeDriverReportJson(JsonOut, Report, Opt.Timing, Opt.Details);
+    writeDriverReportJson(JsonOut, Report, Opt.Timing, Opt.Details,
+                          PhaseSink);
     closeOutput(JsonOut);
   }
   if (CsvOut) {
-    writeDriverReportCsv(CsvOut, Report, Opt.Timing);
+    writeDriverReportCsv(CsvOut, Report, Opt.Timing, PhaseSink);
     closeOutput(CsvOut);
   }
   if (TasksCsvOut) {

@@ -124,7 +124,6 @@ PipelineResult layra::runAllocationPipeline(
   for (unsigned Round = 0; Round < Options.MaxRounds; ++Round) {
     PhaseSpan RoundSpan(Phase::SpillRound);
     ++Out.Rounds;
-    obs::addSpillRound();
     Current.emplace(Round == 0
                         ? buildRound0()
                         : build(Out.Rewritten, nullptr));

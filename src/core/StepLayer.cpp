@@ -173,7 +173,6 @@ layra::optimalBoundedLayer(const AllocationProblem &P,
     SolverWorkspace::StepDpNode &T = Tables[C];
     enumerateSubsets(static_cast<unsigned>(T.Bag.size()), Bound, T.States,
                      WS->Step.SubsetsCurrent, WS->Step.SubsetsNext);
-    obs::addDpStates(T.States.size());
     T.Value.assign(T.States.size(), 0);
 
     // Weight of each bag vertex.

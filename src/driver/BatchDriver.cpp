@@ -220,12 +220,8 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
                               bool CacheTransparent,
                               std::vector<PhaseTotals> *PhaseSink) {
   auto BatchStart = std::chrono::steady_clock::now();
-
-  // Report-visible breakdowns key off the global switch as it stood when
-  // the run began.  A per-call sink switches accounting on only on the
-  // threads solving this run's tasks (phase 3), so neither concurrent runs
-  // nor this run's report bytes can see it.
-  const bool WasAccounting = obs::phaseAccountingEnabled();
+  // A sink switches accounting on only on the threads solving this run's
+  // tasks (phase 3), so concurrent runs cannot see it.
   const bool WantSink = PhaseSink != nullptr;
 
   DriverReport Report;
@@ -403,7 +399,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // writes only its own slot; the library itself is deterministic, and a
   // workspace carries only buffer capacity, never state, so slot-local
   // workspace reuse cannot leak one task's results into another's.
-  const bool CollectPhases = WasAccounting || WantSink;
   Pool.parallelForWorker(Unique.size(), [&](size_t I, unsigned Slot) {
     UniqueSolve &U = Unique[I];
     const PendingTask &T = Pending[U.PendingIndex];
@@ -412,7 +407,7 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     // Tasks run serially on a worker, so the thread-local phase totals
     // delta across this task is exactly this task's breakdown.
     PhaseTotals Before;
-    if (CollectPhases)
+    if (WantSink)
       Before = obs::threadPhaseTotals();
     auto Start = std::chrono::steady_clock::now();
     SsaConversion Ssa = convertToSsa(*T.F);
@@ -426,7 +421,7 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
         runAllocationPipeline(Ssa.Ssa, Job.Target, JobBudgets[T.JobIndex],
                               Job.Options, Workspaces[Slot].get(), &Delta);
     U.UsedDelta = Delta.UsedDelta;
-    if (CollectPhases) {
+    if (WantSink) {
       const PhaseTotals &After = obs::threadPhaseTotals();
       for (unsigned P = 0; P < kNumPhases; ++P) {
         U.Phases.Ms[P] = After.Ms[P] - Before.Ms[P];
@@ -475,13 +470,13 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
       BaseRegistry.insert(Key, Unique[Slot].Capture);
 
   std::vector<std::vector<double>> JobSolveMs(Jobs.size());
-  std::vector<PhaseTotals> JobPhases(CollectPhases ? Jobs.size() : 0);
+  std::vector<PhaseTotals> JobPhases(WantSink ? Jobs.size() : 0);
   for (const PendingTask &T : Pending) {
     JobReport &JR = Report.Jobs[T.JobIndex];
     const bool Solved = !T.PersistentHit && !T.BatchDup;
     // Phase breakdowns, like WallMs, cover only the tasks actually solved
     // in this run (cache hits and batch twins cost no solver time).
-    if (CollectPhases && Solved)
+    if (WantSink && Solved)
       for (unsigned P = 0; P < kNumPhases; ++P) {
         JobPhases[T.JobIndex].Ms[P] += Unique[T.UniqueIndex].Phases.Ms[P];
         JobPhases[T.JobIndex].Count[P] +=
@@ -510,17 +505,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     JR.WallMsTotal += Result.WallMs;
     JR.Tasks.push_back(std::move(Result));
   }
-  // Report-visible breakdowns only when accounting was globally on; the
-  // per-call sink gets its copy regardless.  Keeping the two consumers
-  // separate is what lets a traced request's report stay byte-identical
-  // to an untraced one's.
-  if (WasAccounting)
-    for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-      JobReport &JR = Report.Jobs[JI];
-      JR.PhaseMs.assign(JobPhases[JI].Ms, JobPhases[JI].Ms + kNumPhases);
-      JR.PhaseCount.assign(JobPhases[JI].Count,
-                           JobPhases[JI].Count + kNumPhases);
-    }
   if (WantSink)
     *PhaseSink = std::move(JobPhases);
   for (size_t JI = 0; JI < Jobs.size(); ++JI) {

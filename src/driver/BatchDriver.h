@@ -130,14 +130,6 @@ struct JobReport {
   double WallMsP50 = 0;
   double WallMsP95 = 0;
   double WallMsMax = 0;
-  /// Per-phase *self*-time breakdown over this job's solved tasks, indexed
-  /// by Phase (kNumPhases entries) -- summing PhaseMs reconstructs the
-  /// solve wall time without double counting.  Populated only when global
-  /// phase accounting (obs::setPhaseAccounting) was on when run() began;
-  /// empty otherwise.  Timing fields: excluded from determinism
-  /// comparisons and from --no-timing reports.
-  std::vector<double> PhaseMs;
-  std::vector<uint64_t> PhaseCount;
 };
 
 /// Everything one run() produced.
@@ -246,15 +238,17 @@ public:
   /// the cache is -- the property the allocation server's responses rely
   /// on (tests/service/ServerLoopbackTest.cpp asserts it).
   ///
-  /// \p PhaseSink is the per-call span sink for request-scoped tracing:
-  /// when non-null it is filled with one PhaseTotals per job (net of
-  /// cache hits and batch duplicates, like JobReport::PhaseMs).  Phase
-  /// accounting is switched on only on the threads running this call's
-  /// tasks, for the duration of each task (obs::ScopedPhaseAccounting),
-  /// so concurrent runs on other drivers neither see nor lose spans.
-  /// The sink never changes the report: JobReport::PhaseMs stays
-  /// populated only when accounting was already enabled globally, so a
-  /// traced request's report bytes match an untraced one's.
+  /// \p PhaseSink is the only way phase timing leaves the driver: when
+  /// non-null it is filled with one PhaseTotals per job, in job order,
+  /// holding the per-phase *self* times (summing them reconstructs the
+  /// solve wall time without double counting) and span counts of the
+  /// tasks this run actually solved (cache hits and batch duplicates cost
+  /// no solver time, like TaskResult::WallMs).  Phase accounting is
+  /// switched on only on the threads running this call's tasks, for the
+  /// duration of each task (obs::ScopedPhaseAccounting), so concurrent
+  /// runs on other drivers neither see nor lose spans.  The sink never
+  /// changes the report; the serializers (driver/ReportIO.h) take it as
+  /// a separate argument.
   DriverReport run(const std::vector<BatchJob> &Jobs,
                    bool CacheTransparent = false,
                    std::vector<PhaseTotals> *PhaseSink = nullptr);

@@ -19,7 +19,7 @@ static double roundMs(double Ms) {
 }
 
 static JsonValue jobToJson(const JobReport &JR, bool IncludeTiming,
-                           bool IncludeTasks) {
+                           bool IncludeTasks, const PhaseTotals *Phases) {
   const BatchJob &Job = JR.Job;
   JsonValue Out = JsonValue::object();
   Out.set("suite", Job.SuiteName);
@@ -53,20 +53,20 @@ static JsonValue jobToJson(const JobReport &JR, bool IncludeTiming,
     Wall.set("p95", roundMs(JR.WallMsP95));
     Wall.set("max", roundMs(JR.WallMsMax));
     Out.set("wall_ms", std::move(Wall));
-    // Per-phase self-time breakdown, present only when phase accounting
-    // was on during the run.  Gated on IncludeTiming like every timing
+    // Per-phase self-time breakdown, present only when the caller passes
+    // the run's phase sink.  Gated on IncludeTiming like every timing
     // field, so --no-timing reports and goldens keep their bytes.
-    if (!JR.PhaseMs.empty()) {
-      JsonValue Phases = JsonValue::object();
+    if (Phases) {
+      JsonValue Breakdown = JsonValue::object();
       for (unsigned P = 0; P < kNumPhases; ++P) {
-        if (JR.PhaseCount[P] == 0)
+        if (Phases->Count[P] == 0)
           continue;
         JsonValue One = JsonValue::object();
-        One.set("ms", roundMs(JR.PhaseMs[P]));
-        One.set("count", static_cast<unsigned long long>(JR.PhaseCount[P]));
-        Phases.set(phaseName(Phase(P)), std::move(One));
+        One.set("ms", roundMs(Phases->Ms[P]));
+        One.set("count", static_cast<unsigned long long>(Phases->Count[P]));
+        Breakdown.set(phaseName(Phase(P)), std::move(One));
       }
-      Out.set("phase_ms", std::move(Phases));
+      Out.set("phase_ms", std::move(Breakdown));
     }
   }
   if (IncludeTasks) {
@@ -97,7 +97,8 @@ static JsonValue jobToJson(const JobReport &JR, bool IncludeTiming,
 }
 
 JsonValue layra::driverReportToJson(const DriverReport &Report,
-                                    bool IncludeTiming, bool IncludeTasks) {
+                                    bool IncludeTiming, bool IncludeTasks,
+                                    const std::vector<PhaseTotals> *Phases) {
   JsonValue Out = JsonValue::object();
   Out.set("schema", "layra-driver-report/v1");
   Out.set("threads", Report.Threads);
@@ -108,15 +109,17 @@ JsonValue layra::driverReportToJson(const DriverReport &Report,
   if (IncludeTiming)
     Out.set("wall_ms", roundMs(Report.WallMs));
   JsonValue Jobs = JsonValue::array();
-  for (const JobReport &JR : Report.Jobs)
-    Jobs.push(jobToJson(JR, IncludeTiming, IncludeTasks));
+  for (size_t JI = 0; JI < Report.Jobs.size(); ++JI)
+    Jobs.push(jobToJson(Report.Jobs[JI], IncludeTiming, IncludeTasks,
+                        Phases ? &(*Phases)[JI] : nullptr));
   Out.set("jobs", std::move(Jobs));
   return Out;
 }
 
 void layra::writeDriverReportJson(std::FILE *Out, const DriverReport &Report,
-                                  bool IncludeTiming, bool IncludeTasks) {
-  driverReportToJson(Report, IncludeTiming, IncludeTasks).write(Out);
+                                  bool IncludeTiming, bool IncludeTasks,
+                                  const std::vector<PhaseTotals> *Phases) {
+  driverReportToJson(Report, IncludeTiming, IncludeTasks, Phases).write(Out);
 }
 
 /// `NAME:N;NAME:N` rendering of a multi-class job's budgets (CSV cell).
@@ -132,7 +135,8 @@ static std::string formatClassBudgets(const BatchJob &Job) {
 }
 
 void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
-                                 bool IncludeTiming) {
+                                 bool IncludeTiming,
+                                 const std::vector<PhaseTotals> *Phases) {
   // Column names track the JSON schema ("functions_fit" etc.) so one field
   // has one name across serializers.  The class_regs column appears only
   // when some job targets a multi-class machine -- exactly like the JSON
@@ -147,12 +151,9 @@ void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
       "loads",      "stores",        "loads_folded", "rounds"};
   if (AnyMultiClass)
     Headers.insert(Headers.begin() + 3, "class_regs");
-  // Phase columns appear only when some job carries a breakdown (phase
-  // accounting on) *and* timing is included, mirroring the JSON field.
-  bool AnyPhases = false;
-  for (const JobReport &JR : Report.Jobs)
-    AnyPhases |= !JR.PhaseMs.empty();
-  AnyPhases &= IncludeTiming;
+  // Phase columns appear only with the run's phase sink *and* timing,
+  // mirroring the JSON field.
+  const bool AnyPhases = Phases && IncludeTiming;
   if (IncludeTiming) {
     Headers.push_back("wall_ms_total");
     Headers.push_back("wall_ms_p50");
@@ -163,7 +164,8 @@ void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
     for (unsigned P = 0; P < kNumPhases; ++P)
       Headers.push_back(std::string("phase_ms_") + phaseName(Phase(P)));
   Table T(std::move(Headers));
-  for (const JobReport &JR : Report.Jobs) {
+  for (size_t JI = 0; JI < Report.Jobs.size(); ++JI) {
+    const JobReport &JR = Report.Jobs[JI];
     const BatchJob &Job = JR.Job;
     std::vector<std::string> Row{
         Job.SuiteName,
@@ -191,8 +193,7 @@ void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
     }
     if (AnyPhases)
       for (unsigned P = 0; P < kNumPhases; ++P)
-        Row.push_back(JR.PhaseMs.empty() ? "0"
-                                         : Table::num(JR.PhaseMs[P]));
+        Row.push_back(Table::num((*Phases)[JI].Ms[P]));
     T.addRow(std::move(Row));
   }
   T.printCsv(Out);

@@ -12,10 +12,10 @@
 /// files and downstream tooling key on it.  Changes within v1 are strictly
 /// additive (cache_evictions joined the top level when the caches became
 /// bounded); removing or renaming a field requires a version bump.  Timing
-/// fields (wall_ms and the per-job percentile block) are the only
-/// non-deterministic content and can be omitted wholesale with
-/// IncludeTiming = false, which makes the output of two runs over the same
-/// jobs byte-identical regardless of thread count.
+/// fields (wall_ms, the per-job percentile block and the phase_ms
+/// breakdown) are the only non-deterministic content and can be omitted
+/// wholesale with IncludeTiming = false, which makes the output of two runs
+/// over the same jobs byte-identical regardless of thread count.
 ///
 /// The allocation service (service/Server.h) reuses these serializers
 /// verbatim: an `allocate` response payload is exactly the bytes
@@ -36,18 +36,25 @@ namespace layra {
 /// Builds the JSON document for \p Report.
 /// \param IncludeTiming  emit wall_ms / percentile fields.
 /// \param IncludeTasks   emit the per-function task array of every job.
+/// \param Phases         the run's phase sink (BatchDriver::run), one
+///                       entry per job; with IncludeTiming, each job gets
+///                       a phase_ms object of its phases that ran.
 JsonValue driverReportToJson(const DriverReport &Report,
                              bool IncludeTiming = true,
-                             bool IncludeTasks = false);
+                             bool IncludeTasks = false,
+                             const std::vector<PhaseTotals> *Phases = nullptr);
 
 /// Serializes \p Report as JSON to \p Out (trailing newline included).
 void writeDriverReportJson(std::FILE *Out, const DriverReport &Report,
                            bool IncludeTiming = true,
-                           bool IncludeTasks = false);
+                           bool IncludeTasks = false,
+                           const std::vector<PhaseTotals> *Phases = nullptr);
 
 /// One CSV row per job: suite, regs, allocator, totals, cache and timing.
+/// With \p Phases and timing, every row ends in phase_ms_<phase> columns.
 void writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
-                          bool IncludeTiming = true);
+                          bool IncludeTiming = true,
+                          const std::vector<PhaseTotals> *Phases = nullptr);
 
 /// One CSV row per task (function) across all jobs.
 void writeDriverTasksCsv(std::FILE *Out, const DriverReport &Report,

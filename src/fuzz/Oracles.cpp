@@ -345,39 +345,32 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
   TraceCollector &TC = TraceCollector::global();
   bool WasTracing = TC.enabled();
   bool WasDet = TC.deterministic();
-  bool WasAccounting = obs::phaseAccountingEnabled();
   TC.disable();
-  obs::setPhaseAccounting(false);
   BatchDriver QuietDriver(1);
   std::string QuietJson =
       driverReportToJson(QuietDriver.run(Jobs), /*IncludeTiming=*/false,
                          /*IncludeTasks=*/true)
           .dump(2);
 
-  // Instrumented run: deterministic tracing, phase accounting, the
-  // request-scoped event log, a live per-job phase sink, and a request
-  // trace consuming it -- every observability surface at once.
+  // Instrumented run: deterministic tracing, the request-scoped event
+  // log, a live per-job phase sink (which switches phase accounting on),
+  // the sink handed to the timing-free serializer, and a request trace
+  // consuming it -- every observability surface at once.
   obs::EventLog &Events = obs::EventLog::global();
   bool WasEvents = Events.enabled();
   TC.enable(/*Deterministic=*/true);
-  obs::setPhaseAccounting(true);
   Events.setEnabled(true);
   Events.record(obs::EventKind::RequestStart, 0, "fuzz-metrics-quiet");
   BatchDriver LoudDriver(1);
   std::vector<PhaseTotals> JobPhases;
-  std::string LoudJson =
-      driverReportToJson(LoudDriver.run(Jobs, /*CacheTransparent=*/false,
-                                        &JobPhases),
-                         /*IncludeTiming=*/false,
-                         /*IncludeTasks=*/true)
-          .dump(2);
+  DriverReport Loud =
+      LoudDriver.run(Jobs, /*CacheTransparent=*/false, &JobPhases);
   obs::RequestTrace Trace;
   Trace.begin("fuzz-metrics-quiet", std::chrono::steady_clock::now());
   Trace.attachJobPhases(JobPhases);
   Events.record(obs::EventKind::RequestEnd, 0, Trace.id().c_str());
   TC.disable();
   TC.clear();
-  obs::setPhaseAccounting(WasAccounting);
   Events.setEnabled(WasEvents);
   if (WasTracing)
     TC.enable(WasDet);
@@ -385,6 +378,10 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
   if (JobPhases.size() != Jobs.size())
     return fail("phase sink did not report one entry per job");
 
+  std::string LoudJson =
+      driverReportToJson(Loud, /*IncludeTiming=*/false,
+                         /*IncludeTasks=*/true, &JobPhases)
+          .dump(2);
   if (QuietJson != LoudJson)
     return fail("timing-free report changed when tracing/metrics were on");
   return {};

@@ -1,4 +1,4 @@
-//===- obs/Metrics.h - Process-wide metrics registry ------------*- C++ -*-===//
+//===- obs/Metrics.h - Latency histograms and expositions -------*- C++ -*-===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A lightweight telemetry core: named counters, gauges, and log-linear
-/// latency histograms behind a process-wide registry.  The hot path is a
-/// single relaxed atomic increment into a per-thread shard -- no locks, no
-/// contention -- while readers merge shards under a mutex into an immutable
-/// MetricsSnapshot with p50/p95/p99 readout and Prometheus text exposition.
+/// A lightweight telemetry core: a wait-free log-linear latency histogram
+/// with p50/p95/p99 readout, and MetricsSnapshot, which renders named
+/// counters, gauges and histograms as Prometheus or plain text.  There is
+/// no process-wide registry: every exposition is built from the values'
+/// one owner (the server's stats document, a batch run's phase sink).
 ///
 /// Histogram geometry is HDR-style log-linear: durations are quantized to
 /// ticks (1/1024 ms), the first 16 buckets are exact, and every power-of-two
@@ -24,9 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,22 +104,14 @@ private:
   std::atomic<uint64_t> SumTicksV;
 };
 
-using CounterId = unsigned;
-using GaugeId = unsigned;
-using HistogramId = unsigned;
-
-/// Point-in-time merged view of a whole registry, in registration order
-/// (which is deterministic given a deterministic program).
+/// Point-in-time set of named counters, gauges and histograms, in the
+/// order their owner appended them.  Callers build one from the document
+/// that owns the values (the server's stats document, a run's phase sink)
+/// and render it with one of the expositions below.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<std::pair<std::string, double>> Gauges;
   std::vector<HistogramSnapshot> Histograms;
-
-  /// Lookups by name, returned by value (empty when absent) so no caller
-  /// can hold a pointer into a snapshot that has gone away.
-  std::optional<uint64_t> counter(const std::string &Name) const;
-  std::optional<double> gauge(const std::string &Name) const;
-  std::optional<HistogramSnapshot> histogram(const std::string &Name) const;
 
   /// Prometheus text exposition format (metric names sanitized to
   /// [a-zA-Z0-9_:]; histograms emit cumulative _bucket/_sum/_count series).
@@ -132,61 +121,6 @@ struct MetricsSnapshot {
   /// \p Prefix (empty prefix selects everything).  Histograms print count
   /// and p50/p95/p99.
   std::string toText(const std::string &Prefix = std::string()) const;
-};
-
-/// Registry of named metrics with per-thread sharded collection.  Metric
-/// registration (counter()/gauge()/histogram()) takes a mutex and returns a
-/// stable dense id; the write paths add()/record() touch only the calling
-/// thread's shard.  Capacities are fixed so shard cells can be flat atomic
-/// arrays; exceeding a cap is a fatal configuration error, not a silent
-/// drop.
-class MetricsRegistry {
-public:
-  static constexpr unsigned kMaxCounters = 256;
-  static constexpr unsigned kMaxGauges = 64;
-  static constexpr unsigned kMaxHistograms = 64;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
-  MetricsRegistry(const MetricsRegistry &) = delete;
-  MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-  /// The process-wide registry every instrumented subsystem reports into.
-  static MetricsRegistry &global();
-
-  /// Register-or-lookup by name; same name always returns the same id.
-  CounterId counter(const std::string &Name);
-  GaugeId gauge(const std::string &Name);
-  HistogramId histogram(const std::string &Name);
-
-  /// Hot paths: unsynchronized (relaxed) updates into this thread's shard.
-  /// Counter arithmetic is modulo 2^64 -- overflow wraps, never traps.
-  void add(CounterId Id, uint64_t Delta = 1);
-  void record(HistogramId Id, double Ms);
-
-  /// Gauges are set rarely (end of a run); a mutex keeps them simple.
-  void set(GaugeId Id, double Value);
-
-  /// Merged view of all shards.
-  MetricsSnapshot snapshot() const;
-
-  /// Zeroes every cell in place (shards stay valid for cached writers).
-  void reset();
-
-private:
-  struct Shard;
-  Shard &localShard();
-
-  /// Process-unique serial: guards thread-local shard caches against a
-  /// destroyed-and-reallocated registry at the same address.
-  const uint64_t Serial;
-
-  mutable std::mutex Mutex;
-  std::vector<std::string> CounterNames;
-  std::vector<std::string> GaugeNames;
-  std::vector<std::string> HistogramNames;
-  std::vector<double> GaugeValues;
-  std::vector<std::unique_ptr<Shard>> Shards;
 };
 
 } // namespace layra

@@ -7,10 +7,7 @@
 
 #include "obs/Trace.h"
 
-#include "obs/Metrics.h"
-
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 namespace layra {
@@ -27,14 +24,6 @@ const char *phaseName(Phase P) { return PhaseNames[unsigned(P)]; }
 namespace obs {
 
 std::atomic<uint32_t> Flags{0};
-thread_local uint32_t ThreadFlags = 0;
-
-void setPhaseAccounting(bool Enabled) {
-  if (Enabled)
-    Flags.fetch_or(kPhaseAccounting, std::memory_order_relaxed);
-  else
-    Flags.fetch_and(~uint32_t(kPhaseAccounting), std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -54,38 +43,9 @@ struct ActiveSpan {
 thread_local std::vector<ActiveSpan> SpanStack;
 thread_local PhaseTotals ThreadTotals;
 
-/// Per-stage inclusive-duration histograms, registered once in the global
-/// registry (thread-safe static initialization).
-HistogramId phaseHistId(Phase P) {
-  static const std::array<HistogramId, kNumPhases> Ids = [] {
-    std::array<HistogramId, kNumPhases> A{};
-    for (unsigned I = 0; I < kNumPhases; ++I)
-      A[I] = MetricsRegistry::global().histogram(
-          std::string("layra.phase.") + PhaseNames[I] + ".ms");
-    return A;
-  }();
-  return Ids[unsigned(P)];
-}
-
 } // namespace
 
 const PhaseTotals &threadPhaseTotals() { return ThreadTotals; }
-
-void addSpillRound() {
-  if (!(activeFlags() & kPhaseAccounting))
-    return;
-  static const CounterId Id =
-      MetricsRegistry::global().counter("layra.pipeline.spill_rounds");
-  MetricsRegistry::global().add(Id);
-}
-
-void addDpStates(uint64_t Visited) {
-  if (!(activeFlags() & kPhaseAccounting))
-    return;
-  static const CounterId Id =
-      MetricsRegistry::global().counter("layra.dp.states_visited");
-  MetricsRegistry::global().add(Id, Visited);
-}
 
 void spanBegin(Phase P, uint32_t Mode) {
   TraceCollector &TC = TraceCollector::global();
@@ -133,7 +93,6 @@ void spanEnd() {
     ThreadTotals.Count[I] += 1;
     if (!SpanStack.empty())
       SpanStack.back().ChildMs += DurMs;
-    MetricsRegistry::global().record(phaseHistId(S.P), DurMs);
   }
 }
 

@@ -18,12 +18,15 @@
 ///    loadable in chrome://tracing and Perfetto.  In deterministic mode
 ///    (used under --no-timing and by the metrics-quiet fuzz oracle)
 ///    timestamps are a global sequence counter instead of a clock, so two
-///    identical runs emit byte-identical traces.
+///    identical single-threaded runs emit byte-identical traces (with
+///    several threads, the schedule decides each span's thread and
+///    sequence number).
 ///
-///  - Phase accounting feeds per-phase *self-time* totals (child spans
-///    subtracted) into thread-local PhaseTotals the batch driver folds into
-///    per-job phase_ms breakdowns, and inclusive per-stage duration
-///    histograms ("layra.phase.<name>.ms") into the global MetricsRegistry.
+///  - Phase accounting, switched on per thread by ScopedPhaseAccounting,
+///    feeds per-phase *self-time* totals (child spans subtracted) into
+///    thread-local PhaseTotals.  The batch driver folds them into per-job
+///    totals and hands them to its caller through run()'s phase sink, the
+///    one owner of phase timing.
 ///
 /// Spans nest but must strictly nest per thread (RAII enforces this); the
 /// collector's control surface (enable/disable/clear/toJson) must not race
@@ -87,33 +90,26 @@ namespace obs {
 /// Zero means every instrumentation point is a no-op.
 enum : uint32_t {
   kTraceEvents = 1u << 0,     ///< Buffer spans into TraceCollector.
-  kPhaseAccounting = 1u << 1, ///< Accumulate PhaseTotals + phase metrics.
+  kPhaseAccounting = 1u << 1, ///< Accumulate this thread's PhaseTotals.
 };
 
-/// Process-wide switches (setPhaseAccounting, TraceCollector::enable).
+/// Process-wide switches (TraceCollector::enable).
 extern std::atomic<uint32_t> Flags;
-/// The calling thread's additions (ScopedPhaseAccounting).
-extern thread_local uint32_t ThreadFlags;
+/// The calling thread's additions (ScopedPhaseAccounting).  Defined inline
+/// so every translation unit sees a constant-initialized variable with no
+/// TLS init-function wrapper (whose weak-symbol check UBSan misreports as
+/// a null load).
+inline thread_local uint32_t ThreadFlags = 0;
 
 inline uint32_t activeFlags() {
   return Flags.load(std::memory_order_relaxed) | ThreadFlags;
 }
 
-/// True when process-wide phase accounting is on.  Per-thread scopes do
-/// not count: this is the switch report-visible breakdowns follow.
-inline bool phaseAccountingEnabled() {
-  return (Flags.load(std::memory_order_relaxed) & kPhaseAccounting) != 0;
-}
-
-/// Turns process-wide phase accounting (PhaseTotals + per-stage
-/// histograms + stage counters) on or off.  Tracing is controlled by
-/// TraceCollector::enable.
-void setPhaseAccounting(bool Enabled);
-
 /// RAII scope turning phase accounting on for the calling thread only
-/// (when \p Enable), restoring the thread's previous state on exit.  The
-/// batch driver wraps each task of a run that has a per-call phase sink in
-/// one, so concurrent runs never switch each other's accounting.
+/// (when \p Enable), restoring the thread's previous state on exit.  This
+/// is the only accounting switch: the batch driver wraps each task of a
+/// run that has a phase sink in one, so concurrent runs never switch each
+/// other's accounting.
 class ScopedPhaseAccounting {
 public:
   explicit ScopedPhaseAccounting(bool Enable) : Saved(ThreadFlags) {
@@ -131,11 +127,6 @@ private:
 /// The calling thread's accumulated phase totals (monotone; the driver
 /// snapshots before/after a task and works with the delta).
 const PhaseTotals &threadPhaseTotals();
-
-/// Stage counters, all no-ops unless phase accounting is on (process-wide
-/// or for the calling thread).
-void addSpillRound();
-void addDpStates(uint64_t Visited);
 
 void spanBegin(Phase P, uint32_t Mode);
 void spanEnd();
@@ -182,7 +173,8 @@ public:
   static TraceCollector &global();
 
   /// Starts buffering span events.  \p Deterministic replaces the clock
-  /// with a global sequence counter (byte-identical traces across runs).
+  /// with a global sequence counter (byte-identical traces across
+  /// single-threaded runs).
   /// Resets the time origin; previously buffered events are kept.
   void enable(bool Deterministic = false);
 

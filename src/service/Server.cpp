@@ -481,8 +481,7 @@ std::string layra::makeStatsResponse(const ServerStats &S,
 }
 
 std::string layra::makeMetricsExposition(const ServerStats &S) {
-  // Server-level stats rendered through the same exposition machinery as
-  // the registry metrics, so one scrape sees one consistent format.
+  // Every series is read out of the stats document, the values' owner.
   JsonValue Doc = statsDocument(S);
   MetricsSnapshot Snap;
   exportStats(Snap, Doc, "layra.serve.",
@@ -510,8 +509,7 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
     Service.Name = "layra.serve.service_ms";
     Snap.Histograms.push_back(std::move(Service));
   }
-  return Snap.toPrometheusText() +
-         MetricsRegistry::global().snapshot().toPrometheusText();
+  return Snap.toPrometheusText();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1364,6 +1362,10 @@ std::string Server::Impl::validateCommon(const ServiceRequest &Req,
   if (!makeAllocator(Req.Options.AllocatorName))
     return failRequest("unknown allocator '" + Req.Options.AllocatorName +
                            "'",
+                       Trace);
+  // The exponential test oracle aborts the process past 24 vertices.
+  if (Req.Options.AllocatorName == "brute")
+    return failRequest("allocator 'brute' is a test oracle and is not served",
                        Trace);
   return std::string();
 }

@@ -195,10 +195,11 @@ struct ServerStats {
 std::string makeStatsResponse(const ServerStats &Stats,
                               const std::string &TraceId = std::string());
 
-/// Renders \p Stats plus the process-wide metrics registry snapshot as a
-/// Prometheus-style text exposition (`layra-serve --metrics-dump=FILE`,
-/// written on SIGUSR1 and at drain).  Server values are read out of the
-/// makeStatsResponse document, so both always agree.
+/// Renders \p Stats as a Prometheus-style text exposition (`layra-serve
+/// --metrics-dump=FILE`, written on SIGUSR1 and at drain).  Every value is
+/// read out of the makeStatsResponse document, so both always agree.
+/// Solver phase times are not in it: they belong to each traced request's
+/// echoed span tree.
 std::string makeMetricsExposition(const ServerStats &Stats);
 
 /// The server.  Typical use:

@@ -42,7 +42,7 @@ namespace {
 /// The fixed batch behind every fixture: two deterministic generated
 /// programs at two register counts.  Changing this function invalidates
 /// the fixtures by design -- regenerate and review the diff.
-DriverReport goldenReport() {
+DriverReport goldenReport(std::vector<PhaseTotals> *Phases = nullptr) {
   Suite S;
   S.Name = "golden";
   SuiteProgram Prog;
@@ -69,7 +69,7 @@ DriverReport goldenReport() {
     Jobs.push_back(Job);
   }
   BatchDriver Driver(1);
-  return Driver.run(Jobs);
+  return Driver.run(Jobs, /*CacheTransparent=*/false, Phases);
 }
 
 std::string goldenDir() {
@@ -153,43 +153,49 @@ TEST(ReportIOGolden, ObservabilityOnStillMatchesTimingFreeFixtures) {
   TraceCollector &TC = TraceCollector::global();
   TC.clear();
   TC.enable(/*Deterministic=*/true);
-  obs::setPhaseAccounting(true);
-  DriverReport Report = goldenReport();
-  obs::setPhaseAccounting(false);
+  std::vector<PhaseTotals> Phases;
+  DriverReport Report = goldenReport(&Phases);
   TC.disable();
   TC.clear();
 
   compareToGolden(capture([&](std::FILE *Out) {
                     writeDriverReportJson(Out, Report, /*IncludeTiming=*/false,
-                                          /*IncludeTasks=*/true);
+                                          /*IncludeTasks=*/true, &Phases);
                   }),
                   "report.json");
   compareToGolden(capture([&](std::FILE *Out) {
                     writeDriverReportCsv(Out, Report,
-                                         /*IncludeTiming=*/false);
+                                         /*IncludeTiming=*/false, &Phases);
                   }),
                   "report.csv");
 }
 
 TEST(ReportIOGolden, TimedReportCarriesPhaseBreakdowns) {
-  // Not a golden (timings are nondeterministic): with phase accounting on,
-  // a timed JSON report grows a phase_ms object per job and the timed CSV
-  // grows the per-phase columns.
-  obs::setPhaseAccounting(true);
-  DriverReport Report = goldenReport();
-  obs::setPhaseAccounting(false);
+  // Not a golden (timings are nondeterministic): given the run's phase
+  // sink, a timed JSON report grows a phase_ms object per job and the
+  // timed CSV grows the per-phase columns.  Without the sink, neither.
+  std::vector<PhaseTotals> Phases;
+  DriverReport Report = goldenReport(&Phases);
 
   ASSERT_FALSE(Report.Jobs.empty());
-  for (const JobReport &JR : Report.Jobs)
-    EXPECT_EQ(JR.PhaseMs.size(), size_t(kNumPhases));
+  EXPECT_EQ(Phases.size(), Report.Jobs.size());
   std::string Json = capture([&](std::FILE *Out) {
     writeDriverReportJson(Out, Report, /*IncludeTiming=*/true,
-                          /*IncludeTasks=*/false);
+                          /*IncludeTasks=*/false, &Phases);
   });
   EXPECT_NE(Json.find("\"phase_ms\""), std::string::npos);
   EXPECT_NE(Json.find("\"pipeline\""), std::string::npos);
   std::string Csv = capture([&](std::FILE *Out) {
-    writeDriverReportCsv(Out, Report, /*IncludeTiming=*/true);
+    writeDriverReportCsv(Out, Report, /*IncludeTiming=*/true, &Phases);
   });
   EXPECT_NE(Csv.find("phase_ms_pipeline"), std::string::npos);
+
+  std::string PlainJson = capture([&](std::FILE *Out) {
+    writeDriverReportJson(Out, Report, /*IncludeTiming=*/true);
+  });
+  EXPECT_EQ(PlainJson.find("\"phase_ms\""), std::string::npos);
+  std::string PlainCsv = capture([&](std::FILE *Out) {
+    writeDriverReportCsv(Out, Report, /*IncludeTiming=*/true);
+  });
+  EXPECT_EQ(PlainCsv.find("phase_ms_"), std::string::npos);
 }

@@ -22,7 +22,6 @@
 #include "ir/LoopInfo.h"
 #include "ir/ProgramGen.h"
 #include "ir/SsaBuilder.h"
-#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -54,7 +53,6 @@ struct ObsQuiesce {
   ~ObsQuiesce() {
     TraceCollector::global().disable();
     TraceCollector::global().clear();
-    obs::setPhaseAccounting(false);
   }
 };
 
@@ -183,7 +181,6 @@ TEST(TraceTest, ObservabilityDoesNotPerturbTimingFreeReports) {
   TraceCollector &TC = TraceCollector::global();
   TC.disable();
   TC.clear();
-  obs::setPhaseAccounting(false);
   BatchDriver Quiet(1);
   std::string QuietJson =
       driverReportToJson(Quiet.run(Jobs), /*IncludeTiming=*/false,
@@ -191,17 +188,19 @@ TEST(TraceTest, ObservabilityDoesNotPerturbTimingFreeReports) {
           .dump(2);
 
   TC.enable(/*Deterministic=*/true);
-  obs::setPhaseAccounting(true);
   BatchDriver Loud(1);
+  std::vector<PhaseTotals> Phases;
+  DriverReport LoudReport =
+      Loud.run(Jobs, /*CacheTransparent=*/false, &Phases);
   std::string LoudJson =
-      driverReportToJson(Loud.run(Jobs), /*IncludeTiming=*/false,
-                         /*IncludeTasks=*/true)
+      driverReportToJson(LoudReport, /*IncludeTiming=*/false,
+                         /*IncludeTasks=*/true, &Phases)
           .dump(2);
 
   EXPECT_EQ(QuietJson, LoudJson);
 }
 
-TEST(TraceTest, PhaseAccountingFillsJobBreakdowns) {
+TEST(TraceTest, PhaseSinkFillsJobBreakdowns) {
   ObsQuiesce Quiesce;
   Function F = makeSsaFunction(31);
   Suite S;
@@ -215,26 +214,23 @@ TEST(TraceTest, PhaseAccountingFillsJobBreakdowns) {
   Job.SuiteData = &S;
   Job.NumRegisters = 4;
 
-  obs::setPhaseAccounting(true);
   BatchDriver Driver(1);
-  DriverReport Report = Driver.run({Job});
-  obs::setPhaseAccounting(false);
+  std::vector<PhaseTotals> Phases;
+  Driver.run({Job}, /*CacheTransparent=*/false, &Phases);
 
-  ASSERT_EQ(Report.Jobs.size(), 1u);
-  const JobReport &JR = Report.Jobs[0];
-  ASSERT_EQ(JR.PhaseMs.size(), size_t(kNumPhases));
-  ASSERT_EQ(JR.PhaseCount.size(), size_t(kNumPhases));
+  ASSERT_EQ(Phases.size(), 1u);
+  const PhaseTotals &JP = Phases[0];
   // Every solve enters the pipeline and final assignment at least once.
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Pipeline)], 0u);
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Allocate)], 0u);
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Assign)], 0u);
+  EXPECT_GT(JP.Count[unsigned(Phase::Pipeline)], 0u);
+  EXPECT_GT(JP.Count[unsigned(Phase::Allocate)], 0u);
+  EXPECT_GT(JP.Count[unsigned(Phase::Assign)], 0u);
   // Self times are non-negative and their sum reconstructs (almost all of)
   // the run without double counting -- it cannot exceed total wall time by
   // more than rounding noise.
   double SelfSum = 0;
   for (unsigned P = 0; P < kNumPhases; ++P) {
-    EXPECT_GE(JR.PhaseMs[P], 0.0);
-    SelfSum += JR.PhaseMs[P];
+    EXPECT_GE(JP.Ms[P], 0.0);
+    SelfSum += JP.Ms[P];
   }
   EXPECT_GT(SelfSum, 0.0);
 }

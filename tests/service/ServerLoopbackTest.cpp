@@ -703,6 +703,32 @@ TEST(ServerLoopbackTest, MalformedTrafficGetsErrorsWithoutKillingServer) {
   EXPECT_GT(Stats.RequestsFailed, 0u);
 }
 
+TEST(ServerLoopbackTest, BruteAllocatorIsRejectedWithoutKillingServer) {
+  // The brute-force oracle aborts the process past 24 vertices, and every
+  // eembc function at 4 registers is larger: the request must come back
+  // as a typed error, and the server must keep answering.
+  TempDir Dir;
+  ServerOptions Opt;
+  Opt.UnixPath = Dir.socketPath("brute.sock");
+  Opt.Threads = kServerThreads;
+  Server S(Opt);
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+
+  Client Conn = Client::connectToUnix(Opt.UnixPath, &Error);
+  ASSERT_TRUE(Conn.valid()) << Error;
+  std::string Response;
+  ASSERT_TRUE(Conn.call("{\"type\":\"allocate\",\"suite\":\"eembc\","
+                        "\"regs\":[4],\"options\":{\"allocator\":\"brute\"}}",
+                        Response, &Error))
+      << Error;
+  EXPECT_NE(Response.find("layra-serve-error/v1"), std::string::npos)
+      << Response;
+  EXPECT_NE(Response.find("'brute'"), std::string::npos) << Response;
+  EXPECT_TRUE(Conn.ping(&Error)) << Error;
+  EXPECT_EQ(S.stats().RequestsFailed, 1u);
+}
+
 TEST(ServerLoopbackTest, UnixListenerRefusesToClobberFilesOrLiveServers) {
   TempDir Dir;
   std::string Error;

@@ -130,16 +130,16 @@ TEST(ServerTraceTest, ClientSuppliedIdRoundTripsWithSpanTree) {
   const JsonValue *JobsV = Trace->find("jobs");
   ASSERT_NE(JobsV, nullptr);
   ASSERT_GT(JobsV->size(), 0u);
-  double PhaseMs = 0;
+  double SelfMs = 0;
   for (const JsonValue &Job : JobsV->elements()) {
     const JsonValue *Phases = Job.find("phases");
     ASSERT_NE(Phases, nullptr);
     for (const JsonValue &Ph : Phases->elements()) {
       EXPECT_GT(Ph.find("count")->numberValue(), 0.0);
-      PhaseMs += Ph.find("self_ms")->numberValue();
+      SelfMs += Ph.find("self_ms")->numberValue();
     }
   }
-  EXPECT_GT(PhaseMs, 0.0);
+  EXPECT_GT(SelfMs, 0.0);
 }
 
 TEST(ServerTraceTest, ServerGeneratedIdsUseThePinnedSalt) {
